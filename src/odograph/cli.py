@@ -30,10 +30,13 @@ from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, is_odometric, low_degree_vertices
 from .oracle import Odometer, enumerate_closed_nb_walks, span_report
 from .revealer import RevealCertificate, flatten, reveal_all
-from .solver import build_walk_matrix, extract_minimal_basis, rational_rank, recover_weights
+from .solver import extract_minimal_basis, recover_weights
 
 _HEADER = "odometry-graph v1"
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: str.isdigit and int() also accept other Unicode digits
+_COUNT_RE = re.compile(r"[0-9]+")
+_INDEX_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -56,7 +59,7 @@ def parse_graph_text(text: str) -> Graph:
         if fields[0] == "n":
             if vertex_count is not None:
                 raise GraphFormatError("repeated vertex-count line", lineno)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not _COUNT_RE.fullmatch(fields[1]):
                 raise GraphFormatError("expected 'n <vertex_count>'", lineno)
             vertex_count = int(fields[1])
         elif fields[0] == "e":
@@ -64,10 +67,9 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphFormatError("edge line before vertex-count line", lineno)
             if len(fields) != 4:
                 raise GraphFormatError("expected 'e <u> <v> <weight>'", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphFormatError("vertex indices must be integers", lineno) from None
+            if not (_INDEX_RE.fullmatch(fields[1]) and _INDEX_RE.fullmatch(fields[2])):
+                raise GraphFormatError("vertex indices must be integers", lineno)
+            u, v = int(fields[1]), int(fields[2])
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphFormatError(
                     f"vertex index out of range 0..{vertex_count - 1}", lineno
@@ -78,7 +80,7 @@ def parse_graph_text(text: str) -> Graph:
             if key in seen:
                 raise GraphFormatError(f"duplicate edge {{{key[0]},{key[1]}}}", lineno)
             seen.add(key)
-            if not _RATIONAL_RE.match(fields[3]):
+            if not _RATIONAL_RE.fullmatch(fields[3]):
                 raise GraphFormatError(f"malformed weight '{fields[3]}'", lineno)
             try:
                 w = Fraction(fields[3])
@@ -166,7 +168,6 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
     basis = None
     if minimal:
         basis = extract_minimal_basis(g, flat)
-        rank = rational_rank(build_walk_matrix(g, basis))
     if fmt == "json":
         payload: dict = {
             "start": start,
@@ -183,7 +184,7 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
         }
         if basis is not None:
             payload["minimal_basis"] = {
-                "rank": rank,
+                "rank": len(basis),
                 "walks": [list(w) for w in basis],
             }
         print(json.dumps(payload, indent=2))
@@ -193,7 +194,7 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
             f"edge {_fmt_edge(g, e)}: {cert.target_coefficient}*w = {_fmt_terms(cert.terms)}"
         )
     if basis is not None:
-        print(f"minimal basis: {len(basis)} walks, rank {rank}")
+        print(f"minimal basis: {len(basis)} walks, rank {len(basis)}")
         for i, w in enumerate(basis):
             print(f"  walk {i}: {_fmt_walk(w)}")
     return 0

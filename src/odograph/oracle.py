@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, RejectedWalkError
 from .graph import Graph
+from .solver import _Echelon
 from .walks import Walk, edge_multiplicities, is_valid_nb_walk, walk_weight
 
 
@@ -115,53 +116,29 @@ class SpanReport(NamedTuple):
     relations: tuple[tuple[int, ...], ...]
 
 
-def _relations_from_rows(edge_count: int, rows: Sequence[Sequence[int]]) -> SpanReport:
-    """Exact RREF of the given usage rows; relations span their orthogonal
-    complement, one primitive integer vector per free column."""
-    reduced: list[tuple[int, list[Fraction]]] = []  # (pivot column, unit row)
-    for raw in rows:
-        row = [Fraction(x) for x in raw]
-        for pc, unit in reduced:
-            coeff = row[pc]
-            if coeff:
-                row = [a - coeff * b for a, b in zip(row, unit)]
-        for j in range(edge_count):
-            if row[j]:
-                piv = row[j]
-                reduced.append((j, [a / piv for a in row]))
-                break
-    reduced.sort(key=lambda t: t[0])
-    for i in reversed(range(len(reduced))):
-        pc_i, row_i = reduced[i]
-        for k in range(i):
-            pc_k, row_k = reduced[k]
-            coeff = row_k[pc_i]
-            if coeff:
-                reduced[k] = (pc_k, [a - coeff * b for a, b in zip(row_k, row_i)])
-    pivot_cols = {pc for pc, _ in reduced}
+def _report(edge_count: int, echelon: _Echelon) -> SpanReport:
+    """Rank of the echelon's rows and one relation per free column f: the
+    primitive integer vector orthogonal to every row that is positive at f
+    and zero at every other free column."""
     relations = []
     for f in range(edge_count):
-        if f in pivot_cols:
+        if f in echelon.rows:
             continue
-        vec = [Fraction(0)] * edge_count
-        vec[f] = Fraction(1)
-        for pc, unit in reduced:
-            vec[pc] = -unit[f]
-        scale = lcm(*(x.denominator for x in vec))
-        ints = [int(x * scale) for x in vec]
+        x = echelon.back_substitute({f: 1})
+        vec = [Fraction(x.get(e, 0)) for e in range(edge_count)]
+        scale = lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
         shrink = gcd(*ints)
-        if shrink > 1:
-            ints = [x // shrink for x in ints]
-        relations.append(tuple(ints))
-    return SpanReport(len(reduced), tuple(relations))
+        relations.append(tuple(v // shrink for v in ints))
+    return SpanReport(echelon.rank, tuple(relations))
 
 
 def span_report(g: Graph, walks: Sequence[Walk]) -> SpanReport:
     """Rank and invisible directions for an explicit collection of walks."""
-    unique: dict[tuple[int, ...], None] = {}
-    for w in walks:
-        unique.setdefault(tuple(edge_multiplicities(g, w)), None)
-    return _relations_from_rows(g.edge_count, list(unique))
+    echelon = _Echelon()
+    for vec in {tuple(edge_multiplicities(g, w)): None for w in walks}:
+        echelon.add(vec)
+    return _report(g.edge_count, echelon)
 
 
 def revealable_span(
@@ -177,28 +154,15 @@ def revealable_span(
     walks are added.
     """
     m = g.edge_count
-    p = (1 << 61) - 1
-    echelon_rows: dict[int, list[int]] = {}
-    rank_mod = 0
-    unique: dict[tuple[int, ...], None] = {}
+    echelon = _Echelon()
+    seen: set[tuple[int, ...]] = set()
     for w in iter_closed_nb_walks(g, home, max_edges):
         vec = tuple(edge_multiplicities(g, w))
-        if vec in unique:
+        if vec in seen:
             continue
-        unique[vec] = None
-        if rank_mod < m:
-            v = [x % p for x in vec]
-            for pivot, row in echelon_rows.items():
-                coeff = v[pivot]
-                if coeff:
-                    v = [(a - coeff * b) % p for a, b in zip(v, row)]
-            for idx, val in enumerate(v):
-                if val:
-                    inv = pow(val, p - 2, p)
-                    echelon_rows[idx] = [(a * inv) % p for a in v]
-                    rank_mod += 1
-                    break
-            if stop_at_full_rank and rank_mod == m:
-                # modular independence certifies rational independence
-                return SpanReport(m, ())
-    return _relations_from_rows(m, list(unique))
+        seen.add(vec)
+        if echelon.rank < m:
+            echelon.add(vec)
+        if stop_at_full_rank and echelon.rank == m:
+            return SpanReport(m, ())
+    return _report(m, echelon)

@@ -1,17 +1,19 @@
 """Exact linear algebra over walk usage counts.
 
-Rows are edges (by id), columns are walks, entries are usage counts. Rank
-and solving are exact: elimination is fraction-free over the integers, and
-solved weights come back as Fractions. A modular pre-filter speeds up the
-greedy basis selection; it only ever admits columns that are certainly
-independent over the rationals, and a fully exact path takes over in the
-(astronomically unlikely) case the filter under-selects.
+A walk matrix has one row per edge (by id) and one column per walk, with
+usage counts as entries. Rank, basis selection, solving and the invisible
+directions of ``oracle.span_report`` all go through one exact elimination
+kernel, ``_Echelon``: it holds each walk's usage vector as a sparse integer
+row, eliminates fraction-free, and keeps measurements as exact rational
+right-hand sides, so solved weights come back as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -23,8 +25,6 @@ from .errors import (
 from .graph import Graph
 from .revealer import RevealCertificate
 from .walks import Walk, edge_multiplicities
-
-_FILTER_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -55,82 +55,89 @@ def build_walk_matrix(g: Graph, walks: Sequence[Walk]) -> WalkMatrix:
     return WalkMatrix(g.edge_count, tuple(tuple(w) for w in walks), tuple(columns))
 
 
-def _bareiss_rank(a: list[list[int]]) -> int:
-    """Fraction-free elimination; pivots by magnitude then lowest row index."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = max(range(r, rows), key=lambda i: (abs(a[i][c]), -i))
-        if a[piv][c] == 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            ai_c = a[i][c]
-            ar = a[r]
-            ai = a[i]
-            for j in range(c + 1, cols):
-                ai[j] = (ar[c] * ai[j] - ai_c * ar[j]) // prev
-            ai[c] = 0
-        prev = a[r][c]
-        r += 1
-    return r
+class _Echelon:
+    """Exact incremental row echelon form over sparse integer vectors.
+
+    Each stored row is a ``{column: int}`` dict whose pivot is its smallest
+    column, together with an exact rational right-hand side. Elimination is
+    fraction-free and rows are content-reduced when stored, so fractions
+    only ever appear on the right-hand sides.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, int]] = {}
+        self.rhs: dict[int, Fraction | int] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec: Sequence[int], rhs: Fraction | int = 0) -> Fraction | int | None:
+        """Reduce the equation ``vec · x = rhs`` against the stored rows.
+
+        Returns None if vec is independent of them, and stores it. Otherwise
+        returns the residual right-hand side, which is zero exactly when the
+        equation is consistent with the stored ones.
+        """
+        v = {j: x for j, x in enumerate(vec) if x}
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            a = v.get(c)
+            if a is None:
+                continue
+            row = self.rows.get(c)
+            if row is None:
+                content = gcd(*v.values())
+                if content > 1:
+                    v = {j: x // content for j, x in v.items()}
+                    rhs = Fraction(rhs, content)
+                self.rows[c] = v
+                self.rhs[c] = rhs
+                return None
+            g = gcd(a, row[c])
+            scale, factor = row[c] // g, a // g
+            if scale != 1:
+                for j in v:
+                    v[j] *= scale
+                rhs *= scale
+            for j, x in row.items():
+                y = v.get(j, 0) - factor * x
+                if y:
+                    if j not in v:
+                        heappush(heap, j)
+                    v[j] = y
+                else:
+                    del v[j]
+            rhs -= factor * self.rhs[c]
+        return rhs
+
+    def back_substitute(self, fixed: Mapping[int, int] = {}) -> dict[int, Fraction | int]:
+        """A solution of every stored row, as ``{column: value}``.
+
+        Non-pivot columns take their value from fixed, or zero; each pivot
+        column is then solved for, from the largest pivot down.
+        """
+        x: dict[int, Fraction | int] = dict(fixed)
+        for c in sorted(self.rows, reverse=True):
+            row = self.rows[c]
+            acc = self.rhs[c]
+            for j, a in row.items():
+                if j != c and x.get(j):
+                    acc -= a * x[j]
+            x[c] = Fraction(acc, row[c])
+        return x
 
 
 def rational_rank(m: WalkMatrix) -> int:
     """Rank of the matrix over the rationals."""
-    if m.edge_count == 0 or not m.columns:
-        return 0
-    return _bareiss_rank(m.rows())
-
-
-class _ModEchelon:
-    """Incremental independence test modulo a large prime.
-
-    A vector accepted here is independent over the rationals as well; only
-    rejections can be spurious, and then only when the prime divides the
-    relevant minor.
-    """
-
-    def __init__(self, p: int = _FILTER_PRIME):
-        self.p = p
-        self.rows: dict[int, list[int]] = {}
-
-    def try_add(self, vec: Sequence[int]) -> bool:
-        p = self.p
-        v = [x % p for x in vec]
-        for pivot, row in self.rows.items():
-            coeff = v[pivot]
-            if coeff:
-                v = [(a - coeff * b) % p for a, b in zip(v, row)]
-        for idx, val in enumerate(v):
-            if val:
-                inv = pow(val, p - 2, p)
-                self.rows[idx] = [(a * inv) % p for a in v]
-                return True
-        return False
-
-
-class _FractionEchelon:
-    """Exact incremental independence test."""
-
-    def __init__(self):
-        self.rows: dict[int, list[Fraction]] = {}
-
-    def try_add(self, vec: Sequence[int]) -> bool:
-        v = [Fraction(x) for x in vec]
-        for pivot, row in self.rows.items():
-            coeff = v[pivot]
-            if coeff:
-                v = [a - coeff * b for a, b in zip(v, row)]
-        for idx, val in enumerate(v):
-            if val:
-                self.rows[idx] = [a / val for a in v]
-                return True
-        return False
+    echelon = _Echelon()
+    for col in m.columns:
+        if echelon.rank == m.edge_count:
+            break
+        echelon.add(col)
+    return echelon.rank
 
 
 def _pool_certificate_walks(certs: Mapping[int, RevealCertificate]) -> list[Walk]:
@@ -158,21 +165,14 @@ def extract_minimal_basis(g: Graph, certs: Mapping[int, RevealCertificate]) -> l
     """
     m = g.edge_count
     pool = _pool_certificate_walks(certs)
-    vectors = {w: edge_multiplicities(g, w) for w in pool}
-
-    def greedy(echelon) -> list[Walk]:
-        chosen: list[Walk] = []
-        for w in pool:
-            if len(chosen) == m:
-                break
-            if echelon.try_add(vectors[w]):
-                chosen.append(w)
-        return chosen
-
-    chosen = greedy(_ModEchelon())
-    if len(chosen) < m:
-        # the filter may have dropped a usable column; redo exactly
-        chosen = greedy(_FractionEchelon())
+    vectors = [edge_multiplicities(g, w) for w in pool]
+    echelon = _Echelon()
+    chosen: list[Walk] = []
+    for w, vec in zip(pool, vectors):
+        if len(chosen) == m:
+            break
+        if echelon.add(vec) is None:
+            chosen.append(w)
     if len(chosen) < m:
         raise RankDeficientError(
             f"certificate walks span only {len(chosen)} of {m} directions"
@@ -185,63 +185,31 @@ def recover_weights(
 ) -> dict[int, Fraction]:
     """Solve for all edge weights from measured walk weights, exactly.
 
-    Eliminates an integer-augmented system fraction-free and back
-    substitutes into Fractions. Requires the walks to span all |E| edge
-    directions; every given equation is checked against the solution, so
-    inconsistent measurements are always reported for overdetermined
-    systems.
+    Each walk's usage counts form one integer row, and its measurement the
+    row's rational right-hand side; the rows are eliminated exactly and the
+    weights back substituted. Requires the walks to span all |E| edge
+    directions. Inconsistent measurements are reported for overdetermined
+    systems, and every given equation is checked against the solution.
     """
     if len(walks) != len(measurements):
         raise PreconditionError("walks and measurements must align one to one")
     m = g_topology.edge_count
-    rows: list[list[int]] = []
-    rhs: list[Fraction] = []
-    for w, meas in zip(walks, measurements):
-        rows.append(edge_multiplicities(g_topology, w))
-        rhs.append(Fraction(meas))
-
-    # scale each equation to integers, then eliminate fraction-free
-    aug: list[list[int]] = []
+    rows = [edge_multiplicities(g_topology, w) for w in walks]
+    rhs = [Fraction(b) for b in measurements]
+    echelon = _Echelon()
+    consistent = True
     for row, b in zip(rows, rhs):
-        d = b.denominator
-        aug.append([x * d for x in row] + [b.numerator])
+        residual = echelon.add(row, b)
+        if residual is not None and residual != 0:
+            consistent = False
+    if echelon.rank < m:
+        raise RankDeficientError(
+            f"measuring walks span only {echelon.rank} of {m} directions"
+        )
+    if not consistent:
+        raise InconsistentMeasurementsError("measurements admit no exact solution")
 
-    n_rows = len(aug)
-    r = 0
-    prev = 1
-    pivot_cols: list[int] = []
-    for c in range(m):
-        if r == n_rows:
-            break
-        piv = max(range(r, n_rows), key=lambda i: (abs(aug[i][c]), -i))
-        if aug[piv][c] == 0:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(r + 1, n_rows):
-            ai_c = aug[i][c]
-            ar = aug[r]
-            ai = aug[i]
-            for j in range(c + 1, m + 1):
-                ai[j] = (ar[c] * ai[j] - ai_c * ar[j]) // prev
-            ai[c] = 0
-        prev = aug[r][c]
-        pivot_cols.append(c)
-        r += 1
-
-    if r < m:
-        raise RankDeficientError(f"measuring walks span only {r} of {m} directions")
-    for i in range(r, n_rows):
-        if aug[i][m] != 0 and all(aug[i][j] == 0 for j in range(m)):
-            raise InconsistentMeasurementsError("measurements admit no exact solution")
-
-    solution = [Fraction(0)] * m
-    for k in reversed(range(r)):
-        c = pivot_cols[k]
-        acc = Fraction(aug[k][m])
-        for j in range(c + 1, m):
-            acc -= aug[k][j] * solution[j]
-        solution[c] = acc / aug[k][c]
-
+    solution = echelon.back_substitute()
     for row, b in zip(rows, rhs):
         total = sum((coeff * solution[j] for j, coeff in enumerate(row) if coeff), Fraction(0))
         if total != b:

@@ -78,7 +78,7 @@ TWO_K4S_TEXT = textwrap.dedent(
 def graph_file(tmp_path):
     def write(text, name="g.graph"):
         p = tmp_path / name
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         return str(p)
 
     return write
@@ -147,6 +147,21 @@ def test_parse_error_exit_code(graph_file, capsys):
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 3:")
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("odometry-graph v1\nn ²\n", 2),  # superscript two
+        ("odometry-graph v1\nn 3\ne 0 ¹ 1\n", 3),  # superscript one
+        ("odometry-graph v1\nn 2\ne 0 1 ٣\n", 3),  # Arabic-Indic three
+    ],
+)
+def test_non_ascii_digits_are_parse_errors(graph_file, capsys, text, lineno):
+    assert main(["check", graph_file(text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}:")
+    assert "Traceback" not in err
 
 
 def test_unreadable_file(capsys):
