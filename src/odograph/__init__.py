@@ -15,9 +15,7 @@ from .errors import (
     InconsistentMeasurementsError,
     InvalidWalkError,
     JunctionBacktrackError,
-    LibraryExhaustedError,
     MissingCertificateError,
-    NotABridgeError,
     NotOdometricError,
     OdographError,
     PreconditionError,
@@ -40,19 +38,14 @@ from .decomposition import (
     BlockCutTree,
     block_cut_tree,
     leafward_escape,
-    nearest_block_path,
     path_in_block_avoiding,
 )
 from .revealer import (
-    ApproachLibrary,
     IdentityTrace,
     RevealCertificate,
     detour_cycle,
     flatten,
-    lift_closed_walk,
     reveal_all,
-    reveal_block,
-    reveal_bridge,
     reveal_walk_to_any_cut,
     reveal_walk_to_cut,
     transfer_neighbor_walk,
@@ -95,17 +88,12 @@ __all__ = [
     "block_cut_tree",
     "path_in_block_avoiding",
     "leafward_escape",
-    "nearest_block_path",
     "RevealCertificate",
-    "ApproachLibrary",
     "IdentityTrace",
     "detour_cycle",
     "reveal_walk_to_cut",
     "reveal_walk_to_any_cut",
-    "lift_closed_walk",
     "transfer_neighbor_walk",
-    "reveal_block",
-    "reveal_bridge",
     "reveal_all",
     "flatten",
     "WalkMatrix",
@@ -130,9 +118,7 @@ __all__ = [
     "JunctionBacktrackError",
     "DisconnectedGraphError",
     "PreconditionError",
-    "NotABridgeError",
     "NotOdometricError",
-    "LibraryExhaustedError",
     "CyclicDependencyError",
     "MissingCertificateError",
     "RankDeficientError",

@@ -12,16 +12,18 @@ Graph files look like:
     e 1 3 5
     e 2 3 6
 
-Weights are integers or p/q rationals. Exit codes: 0 success/affirmative,
-1 domain-negative (not odometric, recovery mismatch), 2 usage or parse
-error. Output ordering is deterministic, so identical invocations produce
-byte-identical output.
+Weights are integers or p/q rationals. A vertex count above 2|E| + 1 is a
+parse error, because some vertex would have no edge. Exit codes: 0
+success/affirmative, 1 domain-negative (not odometric, recovery mismatch),
+2 usage or parse error, or stdout closed early. Output ordering is
+deterministic, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, is_odometric, low_degree_vertices
 from .oracle import Odometer, enumerate_closed_nb_walks, span_report
-from .revealer import RevealCertificate, flatten, reveal_all
+from .revealer import reveal_all
 from .solver import extract_minimal_basis, recover_weights
 
 _HEADER = "odometry-graph v1"
@@ -42,6 +44,7 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 def parse_graph_text(text: str) -> Graph:
     """Parse the v1 graph format into a weighted Graph."""
     vertex_count: int | None = None
+    count_line = 0
     edges: list[tuple[int, int]] = []
     weights: list[Fraction] = []
     seen: set[tuple[int, int]] = set()
@@ -62,6 +65,7 @@ def parse_graph_text(text: str) -> Graph:
             if len(fields) != 2 or not _COUNT_RE.fullmatch(fields[1]):
                 raise GraphFormatError("expected 'n <vertex_count>'", lineno)
             vertex_count = int(fields[1])
+            count_line = lineno
         elif fields[0] == "e":
             if vertex_count is None:
                 raise GraphFormatError("edge line before vertex-count line", lineno)
@@ -94,6 +98,14 @@ def parse_graph_text(text: str) -> Graph:
         raise GraphFormatError(f"missing header '{_HEADER}'", 1)
     if vertex_count is None:
         raise GraphFormatError("missing vertex-count line", 1)
+    # m edges touch at most 2m vertices; refusing here also keeps an absurd
+    # count from allocating one adjacency list per vertex
+    if vertex_count > 2 * len(edges) + 1:
+        raise GraphFormatError(
+            f"vertex count {vertex_count} exceeds 2|E| + 1 = {2 * len(edges) + 1}: "
+            "some vertex would have no edge",
+            count_line,
+        )
     return Graph(vertex_count, edges, weights)
 
 
@@ -151,11 +163,6 @@ def cmd_check(path: str) -> int:
     return 1
 
 
-def _flattened_certificates(g: Graph, start: int) -> dict[int, RevealCertificate]:
-    certs = reveal_all(g, start)
-    return {e: flatten(certs[e], certs) for e in sorted(certs)}
-
-
 def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
     g = _load(path)
     if not 0 <= start < g.vertex_count:
@@ -164,10 +171,10 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
     if not is_odometric(g):
         print(_not_odometric_line(g))
         return 1
-    flat = _flattened_certificates(g, start)
+    certs = reveal_all(g, start)
     basis = None
     if minimal:
-        basis = extract_minimal_basis(g, flat)
+        basis = extract_minimal_basis(g, certs)
     if fmt == "json":
         payload: dict = {
             "start": start,
@@ -179,7 +186,7 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
                     "c_e": cert.target_coefficient,
                     "terms": [{"c": c, "walk": list(w)} for c, w in cert.terms],
                 }
-                for e, cert in flat.items()
+                for e, cert in certs.items()
             ],
         }
         if basis is not None:
@@ -189,7 +196,7 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
             }
         print(json.dumps(payload, indent=2))
         return 0
-    for e, cert in flat.items():
+    for e, cert in certs.items():
         print(
             f"edge {_fmt_edge(g, e)}: {cert.target_coefficient}*w = {_fmt_terms(cert.terms)}"
         )
@@ -209,8 +216,7 @@ def cmd_recover(path: str, start: int, transcript_path: str | None) -> int:
         print(_not_odometric_line(g))
         return 1
     topology = g.without_weights()
-    flat = _flattened_certificates(topology, start)
-    basis = extract_minimal_basis(topology, flat)
+    basis = extract_minimal_basis(topology, reveal_all(topology, start))
     odo = Odometer(g, start)
     measurements = [odo.measure(w) for w in basis]
     recovered = recover_weights(topology, basis, measurements)
@@ -307,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -332,6 +338,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command dispatch")
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        rc = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head -1`). Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
+    return rc
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DisconnectedGraphError, NotABridgeError, PreconditionError
+from .errors import DisconnectedGraphError, PreconditionError
 from .graph import Graph, is_connected
 from .walks import Walk, concat
 
@@ -34,26 +34,24 @@ class BlockCutTree:
     Block ids are assigned by the smallest edge id each block contains, so
     the decomposition is stable for a fixed input edge order. The bipartite
     adjacency (block node <-> cut vertex node) is exactly "the cut vertex
-    lies in the block".
+    lies in the block". ``cut_set`` holds ``cut_vertices`` for membership
+    tests.
     """
 
     blocks: tuple[Block, ...]
     cut_vertices: tuple[int, ...]
     block_of_edge: tuple[int, ...]
     blocks_by_vertex: tuple[tuple[int, ...], ...]
+    cut_set: frozenset[int]
 
     def blocks_at(self, v: int) -> tuple[int, ...]:
         return self.blocks_by_vertex[v]
 
     def cut_vertices_of_block(self, block: int) -> tuple[int, ...]:
-        cuts = set(self.cut_vertices)
-        return tuple(v for v in self.blocks[block].vertices if v in cuts)
+        return tuple(v for v in self.blocks[block].vertices if v in self.cut_set)
 
     def is_cut_vertex(self, v: int) -> bool:
-        return v in self._cut_set()
-
-    def _cut_set(self) -> frozenset[int]:
-        return frozenset(self.cut_vertices)
+        return v in self.cut_set
 
     def two_connected_blocks_at(self, v: int) -> tuple[int, ...]:
         return tuple(b for b in self.blocks_by_vertex[v] if not self.blocks[b].is_bridge)
@@ -147,6 +145,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         cut_vertices=tuple(sorted(cuts)),
         block_of_edge=tuple(block_of_edge),
         blocks_by_vertex=tuple(tuple(sorted(s)) for s in by_vertex),
+        cut_set=frozenset(cuts),
     )
 
 
@@ -218,50 +217,6 @@ def _tree_neighbors(bct: BlockCutTree, node: tuple[str, int]) -> list[tuple[str,
     if kind == "B":
         return [("C", v) for v in bct.cut_vertices_of_block(key)]
     return [("B", b) for b in bct.blocks_at(key)]
-
-
-def _home_node(bct: BlockCutTree, v: int) -> tuple[str, int]:
-    if bct.is_cut_vertex(v):
-        return ("C", v)
-    return ("B", bct.blocks_at(v)[0])
-
-
-def _tree_path(
-    bct: BlockCutTree,
-    source: tuple[str, int],
-    target: tuple[str, int],
-    banned_edge: tuple[tuple[str, int], tuple[str, int]] | None = None,
-) -> list[tuple[str, int]] | None:
-    if source == target:
-        return [source]
-    prev: dict[tuple[str, int], tuple[str, int]] = {source: source}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nxt in _tree_neighbors(bct, node):
-            if nxt in prev:
-                continue
-            if banned_edge and (node, nxt) in (banned_edge, banned_edge[::-1]):
-                continue
-            prev[nxt] = node
-            if nxt == target:
-                path = [nxt]
-                while path[-1] != source:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(nxt)
-    return None
-
-
-def approach_cut_vertex(bct: BlockCutTree, source_vertex: int, block: int) -> int:
-    """The cut vertex through which the tree path from source enters the block."""
-    path = _tree_path(bct, _home_node(bct, source_vertex), ("B", block))
-    if path is None or len(path) < 2:
-        raise PreconditionError(f"vertex {source_vertex} already lies in block {block}")
-    kind, v = path[-2]
-    assert kind == "C"
-    return v
 
 
 def _walk_through_tree_path(g: Graph, bct: BlockCutTree, nodes: list[tuple[str, int]]) -> Walk:
@@ -345,57 +300,3 @@ def leafward_escape(g: Graph, bct: BlockCutTree, u: int, avoid_block: int) -> tu
     if not bct.is_cut_vertex(u):
         raise PreconditionError(f"vertex {u} is not a cut vertex")
     return _escape_toward_leaf(g, bct, u, avoid_block)
-
-
-def nearest_block_path(g: Graph, bct: BlockCutTree, e: int) -> Walk:
-    """Shortest path from an endpoint of the bridge e to a 2-connected block.
-
-    The path starts at an endpoint of e, immediately leaves e (the first hop
-    is never the other endpoint), and ends at a cut vertex that lies in some
-    2-connected block. If an endpoint itself qualifies the path is empty,
-    anchored at the smaller qualifying endpoint; otherwise ties break by
-    path length, then the target's smallest 2-connected block id, then the
-    smaller starting endpoint.
-    """
-    if not bct.is_bridge_edge(e):
-        u, v = g.endpoints(e)
-        raise NotABridgeError(f"edge {{{u},{v}}} (id {e}) is not a bridge")
-    qualifying = {
-        v: min(bct.two_connected_blocks_at(v))
-        for v in range(g.vertex_count)
-        if bct.two_connected_blocks_at(v) and bct.is_cut_vertex(v)
-    }
-    a, b = g.endpoints(e)
-    for endpoint in sorted((a, b)):
-        if endpoint in qualifying:
-            return (endpoint,)
-    best: tuple[int, int, int, Walk] | None = None
-    for endpoint, other in ((a, b), (b, a)):
-        # e is a bridge, so searching without it never reaches `other`
-        dist: dict[int, int] = {endpoint: 0}
-        prev: dict[int, int] = {endpoint: endpoint}
-        queue = deque([endpoint])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u in dist or (v, u) in ((endpoint, other), (other, endpoint)):
-                    continue
-                dist[u] = dist[v] + 1
-                prev[u] = v
-                queue.append(u)
-        hits = [(dist[v], qualifying[v], v) for v in qualifying if v in dist]
-        if not hits:
-            continue
-        d, blk, v = min(hits)
-        path = [v]
-        while path[-1] != endpoint:
-            path.append(prev[path[-1]])
-        path.reverse()
-        key = (d, blk, endpoint, tuple(path))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise PreconditionError(
-            f"no 2-connected block is reachable from bridge {{{a},{b}}}"
-        )
-    return best[3]

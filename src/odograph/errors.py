@@ -37,20 +37,12 @@ class PreconditionError(OdographError):
     """A documented operation precondition was violated by the caller."""
 
 
-class NotABridgeError(PreconditionError):
-    """A bridge-only operation was handed a non-bridge edge."""
-
-
 class NotOdometricError(OdographError):
     """The graph admits no full recovery; names a low-degree vertex if one exists."""
 
     def __init__(self, message: str, vertex: int | None = None):
         self.vertex = vertex
         super().__init__(message)
-
-
-class LibraryExhaustedError(OdographError):
-    """No stored approach walk is compatible with the required junction."""
 
 
 class CyclicDependencyError(OdographError):

@@ -21,12 +21,15 @@ at u whose junctions with W are safe,
     2 F(W) = 2 F(W.C.rev(W)) - F(W.C.C.rev(W))
 
 because the detour contributes F(C) once on the left conjugate and twice on
-the right. Everything else is bookkeeping that reduces the general case to
-spots where this identity applies.
+the right. Every edge {a,b} with a no farther from the start than b is then
+the difference of two revealed open walks, w_ab = F(P.b) - F(P), where P is
+a shortest walk from the start to a. Certificates are built this way
+directly from the start, so each one is a pure combination of closed walks.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,19 +37,14 @@ from typing import Iterable, Mapping
 
 from .decomposition import (
     BlockCutTree,
-    _bfs_path,
     _escape_toward_leaf,
-    approach_cut_vertex,
     block_cut_tree,
     leafward_escape,
-    nearest_block_path,
     path_in_block_avoiding,
 )
 from .errors import (
     CyclicDependencyError,
-    LibraryExhaustedError,
     MissingCertificateError,
-    NotABridgeError,
     NotOdometricError,
     PreconditionError,
 )
@@ -69,7 +67,8 @@ class RevealCertificate:
     counts on each side agree edge by edge. Every walk in ``terms`` is a
     closed non-backtracking walk from ``home``. ``edge_terms`` reference
     other edges whose certificates must be substituted in (see ``flatten``)
-    before the certificate is directly measurable.
+    before the certificate is directly measurable; ``reveal_all`` never
+    emits them.
     """
 
     target: int | Walk
@@ -130,10 +129,6 @@ def _atom(walk: Walk) -> _Form:
     return _Form(1, {walk: 1}, {})
 
 
-def _edge_atom(edge_id: int) -> _Form:
-    return _Form(1, {}, {edge_id: 1})
-
-
 def _combine(parts: Iterable[tuple[Fraction | int, _Form]]) -> _Form:
     walk_acc: dict[Walk, Fraction] = {}
     edge_acc: dict[int, Fraction] = {}
@@ -188,77 +183,6 @@ def _freeze(target: int | Walk, home: int, form: _Form) -> RevealCertificate:
     )
 
 
-# --- approach library ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ApproachEntry:
-    walk: Walk
-    final_edge: int
-    certificate: RevealCertificate
-
-
-class ApproachLibrary:
-    """Per cut vertex, revealed walks from home arriving on distinct edges.
-
-    Lifting a closed walk from a cut vertex u back to home conjugates it
-    between two approach walks. The junctions each rule out at most one
-    arrival edge, so keeping two walks with different final edges (one
-    ending inside a chosen 2-connected block at u, one ending outside it)
-    guarantees a compatible pair always exists.
-    """
-
-    def __init__(self, g: Graph, bct: BlockCutTree, home: int, trace: IdentityTrace | None = None):
-        self.g = g
-        self.bct = bct
-        self.home = home
-        self.trace = trace
-        self._entries: dict[int, tuple[ApproachEntry, ...]] = {}
-
-    def entries(self, u: int) -> tuple[ApproachEntry, ...]:
-        if u not in self._entries:
-            self._entries[u] = self._build(u)
-        return self._entries[u]
-
-    def pick(self, u: int, forbidden_edge: int) -> ApproachEntry:
-        for entry in self.entries(u):
-            if entry.final_edge != forbidden_edge:
-                return entry
-        raise LibraryExhaustedError(
-            f"no approach walk to {u} avoids edge id {forbidden_edge}"
-        )
-
-    def _build(self, u: int) -> tuple[ApproachEntry, ...]:
-        g, bct, home = self.g, self.bct, self.home
-        if u == home:
-            raise PreconditionError("approach walks are only built for u != home")
-        two_conn = bct.two_connected_blocks_at(u)
-        if not two_conn or not bct.is_cut_vertex(u):
-            raise PreconditionError(
-                f"vertex {u} is not a cut vertex of a 2-connected block"
-            )
-        block = two_conn[0]
-        adj = {v: list(g.neighbors(v)) for v in range(g.vertex_count)}
-        p = _bfs_path(adj, home, {u})
-        assert p is not None, "graph is connected"
-        last_in_block = bct.block_of_edge[g.edge_id(p[-2], p[-1])] == block
-        if last_in_block:
-            esc, u2, b2 = leafward_escape(g, bct, u, block)
-            c2, _, _ = detour_cycle(g, bct, u2, b2)
-            q = concat(concat(concat(p, esc), c2), reverse(esc))
-        else:
-            c, _, _ = detour_cycle(g, bct, u, block)
-            q = concat(p, c)
-        entries = []
-        for walk in (p, q):
-            cert = reveal_walk_to_cut(g, bct, home, walk, u, block, self)
-            entries.append(
-                ApproachEntry(walk, g.edge_id(walk[-2], walk[-1]), cert)
-            )
-        assert entries[0].final_edge != entries[1].final_edge
-        return tuple(entries)
-
-
 # --- elementary constructions ----------------------------------------------
 
 
@@ -294,34 +218,14 @@ def detour_cycle(
     return cycle, g.edge_id(u, x), g.edge_id(y, u)
 
 
-def _split_closed_walk(w: Walk, u: int) -> list[Walk]:
-    """Cut a closed walk from u at every interior visit to u."""
-    pieces: list[Walk] = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i] == u:
-            pieces.append(w[start : i + 1])
-            start = i
-    return pieces
-
-
-def _record_doubling(
-    lib_or_trace, base: Walk, cycle: Walk, once: Walk, twice: Walk
-) -> None:
-    trace = None
-    if isinstance(lib_or_trace, IdentityTrace):
-        trace = lib_or_trace
-    elif lib_or_trace is not None:
-        trace = lib_or_trace.trace
-    if trace is not None:
-        trace.doublings.append(DoublingRecord(base, cycle, once, twice))
-
-
-def _doubling_forms(w: Walk, cycle: Walk, lib) -> tuple[_Form, _Form]:
+def _doubling_forms(
+    w: Walk, cycle: Walk, trace: IdentityTrace | None
+) -> tuple[_Form, _Form]:
     """Forms for F(w) and F(cycle) from the two conjugates of w around cycle."""
     once = concat(concat(w, cycle), reverse(w))
     twice = concat(concat(concat(w, cycle), cycle), reverse(w))
-    _record_doubling(lib, w, cycle, once, twice)
+    if trace is not None:
+        trace.doublings.append(DoublingRecord(w, cycle, once, twice))
     form_w = _combine([(1, _atom(once)), (Fraction(-1, 2), _atom(twice))])
     form_c = _combine([(1, _atom(twice)), (-1, _atom(once))])
     return form_w, form_c
@@ -337,7 +241,7 @@ def reveal_walk_to_cut(
     w: Walk,
     u: int,
     block: int,
-    lib: "ApproachLibrary | IdentityTrace | None" = None,
+    trace: IdentityTrace | None = None,
 ) -> RevealCertificate:
     """Reveal an open walk from home to u, a cut vertex of a 2-connected block.
 
@@ -354,26 +258,26 @@ def reveal_walk_to_cut(
     blk = bct.blocks[block]
     if blk.is_bridge or u not in blk.vertices or not bct.is_cut_vertex(u):
         raise PreconditionError(f"vertex {u} must be a cut vertex of 2-connected block {block}")
-    form = _reveal_walk_form(g, bct, w, u, block, lib)
+    form = _reveal_walk_form(g, bct, w, u, block, trace)
     return _freeze(w, home, form)
 
 
 def _reveal_walk_form(
-    g: Graph, bct: BlockCutTree, w: Walk, u: int, block: int, lib
+    g: Graph, bct: BlockCutTree, w: Walk, u: int, block: int, trace: IdentityTrace | None
 ) -> _Form:
     last_edge = g.edge_id(w[-2], w[-1])
     if bct.block_of_edge[last_edge] != block:
         cycle, _, _ = detour_cycle(g, bct, u, block)
-        form_w, _ = _doubling_forms(w, cycle, lib)
+        form_w, _ = _doubling_forms(w, cycle, trace)
         return form_w
     # arrival edge inside the block: go around through a neighboring block
     esc, u2, b2 = leafward_escape(g, bct, u, block)
     c2, _, _ = detour_cycle(g, bct, u2, b2)
     ww = concat(w, esc)
-    form_ww, form_c2 = _doubling_forms(ww, c2, lib)
+    form_ww, form_c2 = _doubling_forms(ww, c2, trace)
     detoured = concat(concat(ww, c2), reverse(esc))
     cycle, _, _ = detour_cycle(g, bct, u, block)
-    form_detoured, _ = _doubling_forms(detoured, cycle, lib)
+    form_detoured, _ = _doubling_forms(detoured, cycle, trace)
     # F(esc) = F(detoured) - F(ww) - F(c2) and F(w) = F(ww) - F(esc)
     return _combine([(2, form_ww), (1, form_c2), (-1, form_detoured)])
 
@@ -384,7 +288,7 @@ def reveal_walk_to_any_cut(
     home: int,
     w: Walk,
     u: int,
-    lib: "ApproachLibrary | IdentityTrace | None" = None,
+    trace: IdentityTrace | None = None,
 ) -> RevealCertificate:
     """Reveal an open walk from home to any cut vertex u.
 
@@ -403,7 +307,7 @@ def reveal_walk_to_any_cut(
         raise PreconditionError(f"vertex {u} is not a cut vertex")
     two_conn = bct.two_connected_blocks_at(u)
     if two_conn:
-        return reveal_walk_to_cut(g, bct, home, w, u, two_conn[0], lib)
+        return reveal_walk_to_cut(g, bct, home, w, u, two_conn[0], trace)
     arrived_from = w[-2]
     others = [v for v in g.neighbors(u) if v != arrived_from]
     if len(others) < 2:
@@ -413,7 +317,7 @@ def reveal_walk_to_any_cut(
         concat(concat((u, x), _bridge_side_loop(g, bct, u, x)), (x, u, y)),
         concat(_bridge_side_loop(g, bct, u, y), (y, u)),
     )
-    form_w, _ = _doubling_forms(w, cycle, lib)
+    form_w, _ = _doubling_forms(w, cycle, trace)
     return _freeze(w, home, form_w)
 
 
@@ -430,63 +334,7 @@ def _bridge_side_loop(g: Graph, bct: BlockCutTree, u: int, x: int) -> Walk:
     return concat(concat(esc, c2), reverse(esc))
 
 
-# --- lifting closed walks to home -------------------------------------------
-
-
-def lift_closed_walk(
-    g: Graph,
-    bct: BlockCutTree,
-    home: int,
-    u: int,
-    w_closed: Walk,
-    lib: ApproachLibrary,
-) -> RevealCertificate:
-    """Reveal a closed walk at a cut vertex u from home.
-
-    The walk splits at every visit to u into pieces; each piece is
-    conjugated between two approach walks whose arrival edges dodge the
-    piece's first and last edges, which is always possible because the
-    library keeps two distinct arrival edges per vertex.
-    """
-    require_valid_walk(g, w_closed)
-    if not is_closed(w_closed) or w_closed[0] != u:
-        raise PreconditionError(f"walk must be closed at {u}")
-    if len(w_closed) < 2:
-        raise PreconditionError("empty walks carry no information; refuse to lift")
-    if u == home:
-        return _freeze(w_closed, home, _atom(w_closed))
-    parts: list[tuple[int, _Form]] = []
-    for piece in _split_closed_walk(w_closed, u):
-        left = lib.pick(u, g.edge_id(piece[0], piece[1]))
-        right = lib.pick(u, g.edge_id(piece[-2], piece[-1]))
-        conjugated = concat(concat(left.walk, piece), reverse(right.walk))
-        piece_form = _combine(
-            [
-                (1, _atom(conjugated)),
-                (-1, _form_of(left.certificate)),
-                (-1, _form_of(right.certificate)),
-            ]
-        )
-        parts.append((1, piece_form))
-    return _freeze(w_closed, home, _combine(parts))
-
-
-def _lift_form(
-    g: Graph, bct: BlockCutTree, home: int, u: int, form: _Form, lib: ApproachLibrary
-) -> _Form:
-    """Rewrite a form anchored at u into one anchored at home."""
-    if u == home:
-        return form
-    parts: list[tuple[Fraction, _Form]] = []
-    for w, c in form.walks.items():
-        lifted = lift_closed_walk(g, bct, home, u, w, lib)
-        parts.append((Fraction(c, form.denom), _form_of(lifted)))
-    for e, d in form.edges.items():
-        parts.append((Fraction(d, form.denom), _edge_atom(e)))
-    return _combine(parts)
-
-
-# --- moving a certificate to a neighboring home ------------------------------
+# --- moving a closed walk to a neighboring home -----------------------------
 
 
 def transfer_neighbor_walk(
@@ -516,135 +364,39 @@ def transfer_neighbor_walk(
     return w_closed[1:] + (home,), 0
 
 
-def _transfer_certificate(
-    g: Graph, cert: RevealCertificate, new_home: int, f: int
-) -> RevealCertificate:
-    """Re-anchor a certificate one hop, pricing the corrections on edge f."""
-    walks: dict[Walk, int] = {}
-    edges: dict[int, int] = {e: d for d, e in cert.edge_terms}
-    eps_total = 0
-    for c, w in cert.terms:
-        moved, eps = transfer_neighbor_walk(g, new_home, cert.home, f, w)
-        walks[moved] = walks.get(moved, 0) + c
-        eps_total += c * eps
-    if eps_total:
-        edges[f] = edges.get(f, 0) - eps_total
-    form = _Form(
-        cert.target_coefficient,
-        {w: c for w, c in walks.items() if c},
-        {e: d for e, d in edges.items() if d},
-    )
-    return _freeze(cert.target, new_home, _combine([(1, form)]))
+# --- the full graph ----------------------------------------------------------
 
 
-# --- whole blocks, bridges, and the full graph ------------------------------
-
-
-def reveal_block(
-    g: Graph,
-    bct: BlockCutTree,
-    anchor: int,
-    block: int,
-    lib: "ApproachLibrary | IdentityTrace | None" = None,
-) -> dict[int, RevealCertificate]:
-    """Reveal every edge of a 2-connected block from an anchor vertex in it.
-
-    Walks the block breadth-first from the anchor. Each vertex reveals its
-    own incident block edges: through the cut-vertex machinery when the far
-    endpoint is a cut vertex, else by doubling around a detour cycle at the
-    far endpoint that avoids the edge. Certificates are then re-anchored
-    hop by hop along the search tree back to the anchor; every hop's
-    correction is priced against the tree edge it crosses, which was
-    revealed earlier, producing edge references instead of recursion.
-    """
-    blk = bct.blocks[block]
-    if blk.is_bridge:
-        raise PreconditionError("reveal_block needs a 2-connected block")
-    if anchor not in blk.vertices:
-        raise PreconditionError(f"anchor {anchor} is not in block {block}")
-    if low_degree_vertices(g) or not is_connected(g):
-        raise PreconditionError("reveal_block requires a connected graph of minimum degree 3")
-
-    adj: dict[int, list[int]] = {v: [] for v in blk.vertices}
-    for eid in blk.edge_ids:
-        a, b = g.endpoints(eid)
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-
-    parent: dict[int, int] = {anchor: anchor}
-    order = [anchor]
-    queue = [anchor]
+def _shortest_walks(g: Graph, start: int) -> dict[int, Walk]:
+    """A shortest walk from start to every vertex, by BFS in neighbor order."""
+    walks: dict[int, Walk] = {start: (start,)}
+    queue = deque([start])
     while queue:
-        v = queue.pop(0)
-        for nxt in adj[v]:
-            if nxt not in parent:
-                parent[nxt] = v
-                order.append(nxt)
-                queue.append(nxt)
-
-    cuts = set(bct.cut_vertices)
-    certs: dict[int, RevealCertificate] = {}
-    for p in order:
-        for q in adj[p]:
-            e = g.edge_id(p, q)
-            if e in certs:
-                continue
-            if q in cuts:
-                walk_cert = reveal_walk_to_cut(g, bct, p, (p, q), q, block, lib)
-                cert = RevealCertificate(
-                    target=e,
-                    target_coefficient=walk_cert.target_coefficient,
-                    home=p,
-                    terms=walk_cert.terms,
-                    edge_terms=walk_cert.edge_terms,
-                )
-            else:
-                cycle, _, _ = detour_cycle(g, bct, q, block, exclude_neighbor=p)
-                form_w, _ = _doubling_forms((p, q), cycle, lib)
-                cert = _freeze(e, p, form_w)
-            hop = p
-            while hop != anchor:
-                cert = _transfer_certificate(g, cert, parent[hop], g.edge_id(parent[hop], hop))
-                hop = parent[hop]
-            certs[e] = cert
-    return dict(sorted(certs.items()))
+        v = queue.popleft()
+        for u in g.neighbors(v):
+            if u not in walks:
+                walks[u] = walks[v] + (u,)
+                queue.append(u)
+    return walks
 
 
-def reveal_bridge(
-    g: Graph,
-    bct: BlockCutTree,
-    home: int,
-    e: int,
-    lib: ApproachLibrary,
-) -> RevealCertificate:
-    """Reveal a bridge edge from home.
+def _reveal_open_walk(
+    g: Graph, bct: BlockCutTree, w: Walk, trace: IdentityTrace | None
+) -> _Form:
+    """Form for F(w), an open walk from the start with at least one edge.
 
-    Both endpoints of a bridge are cut vertices (minimum degree 3). From the
-    nearest cut vertex sitting in a 2-connected block, the bridge is the
-    difference of two revealed open walks; the resulting closed walks are
-    then lifted back to home.
+    Doubles around a detour cycle at the far end that avoids the arrival
+    vertex, inside the first 2-connected block that leaves the end vertex
+    two other neighbors. That fails only at a cut vertex, where the
+    leafward escape of ``reveal_walk_to_any_cut`` takes over.
     """
-    if not bct.is_bridge_edge(e):
-        u, v = g.endpoints(e)
-        raise NotABridgeError(f"edge {{{u},{v}}} (id {e}) is not a bridge")
-    path = nearest_block_path(g, bct, e)
-    u = path[0]
-    a, b = g.endpoints(e)
-    other = b if u == a else a
-    if len(path) == 1:
-        cert = reveal_walk_to_any_cut(g, bct, u, (u, other), other, lib)
-        form = _form_of(cert)
-    else:
-        anchor = path[-1]
-        back = reverse(path)
-        cert_back = reveal_walk_to_any_cut(g, bct, anchor, back, u, lib)
-        cert_over = reveal_walk_to_any_cut(g, bct, anchor, concat(back, (u, other)), other, lib)
-        form = _combine([(1, _form_of(cert_over)), (-1, _form_of(cert_back))])
-        u = anchor
-    lifted = _lift_form(g, bct, home, u, form, lib)
-    return _freeze(e, home, lifted)
+    v, x = w[-1], w[-2]
+    for block in bct.two_connected_blocks_at(v):
+        others = sum(1 for y, eid in g.incident(v) if bct.block_of_edge[eid] == block and y != x)
+        if others >= 2:
+            cycle, _, _ = detour_cycle(g, bct, v, block, exclude_neighbor=x)
+            return _doubling_forms(w, cycle, trace)[0]
+    return _form_of(reveal_walk_to_any_cut(g, bct, w[0], w, v, trace))
 
 
 def reveal_all(
@@ -652,13 +404,13 @@ def reveal_all(
 ) -> dict[int, RevealCertificate]:
     """Reveal every edge of the graph from one start vertex.
 
-    Requires a connected graph of minimum degree 3. Blocks containing the
-    start are revealed in place; other 2-connected blocks are revealed at
-    the cut vertex through which the block tree is entered from the start
-    and lifted home; bridges get their dedicated construction. The result
-    maps every edge id to a certificate whose walks are all closed
-    non-backtracking walks from start (edge references may remain; see
-    ``flatten``).
+    Requires a connected graph of minimum degree 3. For each edge {a,b},
+    with a no farther from the start than b, P is the breadth-first walk
+    from the start to a; P.b never backtracks, because a's predecessor on P
+    is strictly closer than b. The certificate is w_ab = F(P.b) - F(P),
+    with F of the empty walk 0 and each open walk revealed once by the
+    doubling identity, so every certificate has target coefficient 2, no
+    edge references, and only closed non-backtracking walks from start.
     """
     if not (0 <= start < g.vertex_count):
         raise PreconditionError(f"start vertex {start} is out of range")
@@ -670,20 +422,23 @@ def reveal_all(
     if not is_connected(g):
         raise NotOdometricError("graph is disconnected")
     bct = block_cut_tree(g)
-    lib = ApproachLibrary(g, bct, start, trace)
+    paths = _shortest_walks(g, start)
+    revealed: dict[Walk, _Form] = {}
+
+    def reveal(w: Walk) -> _Form:
+        if w not in revealed:
+            revealed[w] = _reveal_open_walk(g, bct, w, trace)
+        return revealed[w]
+
     certs: dict[int, RevealCertificate] = {}
-    for blk in bct.blocks:
-        if blk.is_bridge:
-            e = blk.edge_ids[0]
-            certs[e] = reveal_bridge(g, bct, start, e, lib)
-        elif start in blk.vertices:
-            certs.update(reveal_block(g, bct, start, blk.index, lib))
-        else:
-            anchor = approach_cut_vertex(bct, start, blk.index)
-            for e, cert in reveal_block(g, bct, anchor, blk.index, lib).items():
-                lifted = _lift_form(g, bct, start, anchor, _form_of(cert), lib)
-                certs[e] = _freeze(e, start, lifted)
-    return dict(sorted(certs.items()))
+    for e, (a, b) in enumerate(g.edges):
+        if len(paths[b]) < len(paths[a]):
+            a, b = b, a
+        parts = [(1, reveal(paths[a] + (b,)))]
+        if a != start:
+            parts.append((-1, reveal(paths[a])))
+        certs[e] = _freeze(e, start, _combine(parts))
+    return certs
 
 
 # --- substitution of edge references ----------------------------------------
@@ -696,8 +451,8 @@ def flatten(
 
     Scales by the referenced certificates' coefficients (via lcm) so all
     coefficients stay integral. Fails loudly on a missing certificate and
-    on cyclic references; the constructions here only ever reference edges
-    revealed strictly earlier, so a cycle means the store is corrupt.
+    on cyclic references. A certificate without edge references, such as
+    every one ``reveal_all`` returns, comes back unchanged.
     """
     resolved: dict[int, _Form] = {}
     in_progress: set[int] = set()

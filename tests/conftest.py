@@ -11,11 +11,22 @@ from fractions import Fraction
 
 import pytest
 
-from odograph import Graph
+from odograph import Graph, RevealCertificate
 
 
 def k4_edges(vs):
     return [(vs[i], vs[j]) for i in range(4) for j in range(i + 1, 4)]
+
+
+def k4_referencing_certificate(g):
+    """On K4 from 0: 1*w{1,2} = F[0,1,2,0] - w{0,1} - w{0,2}, citing two edges."""
+    return RevealCertificate(
+        target=g.edge_id(1, 2),
+        target_coefficient=1,
+        home=0,
+        terms=((1, (0, 1, 2, 0)),),
+        edge_terms=((-1, g.edge_id(0, 1)), (-1, g.edge_id(0, 2))),
+    )
 
 
 @pytest.fixture

@@ -1,8 +1,12 @@
 import json
+import os
+import sys
 import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odograph import (
     GraphFormatError,
@@ -122,6 +126,7 @@ def test_parse_comments_and_blank_lines():
         ("odometry-graph v1\nn 2\nn 3\n", 3, "repeated vertex-count"),
         ("odometry-graph v1\nn two\n", 2, "expected 'n <vertex_count>'"),
         ("odometry-graph v1\nn 2\ne 0 1\n", 3, "expected 'e <u> <v> <weight>'"),
+        ("odometry-graph v1\n\nn 4\ne 0 1 1\n", 3, "exceeds 2|E| + 1 = 3"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno, needle):
@@ -162,6 +167,58 @@ def test_non_ascii_digits_are_parse_errors(graph_file, capsys, text, lineno):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {lineno}:")
     assert "Traceback" not in err
+
+
+def test_absurd_vertex_count_is_rejected_before_allocating(graph_file, capsys, monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("Graph built for an absurd vertex count")
+
+    monkeypatch.setattr("odograph.cli.Graph", no_graph)
+    path = graph_file("odometry-graph v1\nn 1000000000000\ne 0 1 1\ne 1 2 1\n")
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: vertex count 1000000000000 exceeds")
+    monkeypatch.undo()
+    # 2|E| + 1 vertices is still a graph, if not an odometric one
+    assert parse_graph_text("odometry-graph v1\nn 3\ne 0 1 1\n").vertex_count == 3
+
+
+_FUZZ_TOKENS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["1000000000000", "7/3", "-2/5", "+1", "1/0", "1.5", "x", "²", "٣", "#"]),
+)
+_FUZZ_LINES = st.one_of(
+    st.builds("n {}".format, st.one_of(st.integers(0, 12), st.just(10**12))),
+    st.builds("e {} {} {}".format, st.integers(-1, 12), st.integers(-1, 12), _FUZZ_TOKENS),
+    st.lists(st.one_of(_FUZZ_TOKENS, st.sampled_from(["n", "e", "q"])), max_size=5).map(" ".join),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    """Text in the graph format: usually well formed, sometimes slightly off."""
+    lines = ["odometry-graph v1"] if draw(st.integers(0, 9)) else []
+    n = draw(st.integers(0, 9))
+    n = 10**12 if n == 9 else n
+    lines.append(f"n {n}")
+    top = min(n, 8) - 1
+    pairs = st.tuples(st.integers(0, top), st.integers(0, top)).filter(lambda p: p[0] < p[1])
+    for u, v in draw(st.sets(pairs, max_size=28)) if top > 0 else ():
+        if draw(st.booleans()):
+            u, v = v, u
+        weight = draw(_FUZZ_TOKENS) if draw(st.integers(0, 15)) == 0 else draw(st.integers(-9, 9))
+        lines.append(f"e {u} {v} {weight}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_FUZZ_LINES))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts())
+def test_check_exit_codes_on_format_shaped_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.graph"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) in (0, 1, 2)
 
 
 def test_unreadable_file(capsys):
@@ -375,3 +432,33 @@ def test_no_arguments_is_usage_error(capsys):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away, failing on write or on flush."""
+
+    def __init__(self, fd, fails_on):
+        self.fd = fd
+        self.fails_on = fails_on
+
+    def write(self, text):
+        if self.fails_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fails_on", ["write", "flush"])
+def test_closed_stdout_exits_2_without_traceback(graph_file, tmp_path, monkeypatch, capsys, fails_on):
+    path = graph_file(K4_TEXT)
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(target.fileno(), fails_on))
+        assert main(["reveal", path]) == 2
+        # the descriptor now writes to devnull, so the flush at exit succeeds
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""

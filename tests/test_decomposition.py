@@ -5,13 +5,14 @@ import pytest
 from odograph import (
     DisconnectedGraphError,
     Graph,
-    NotABridgeError,
     PreconditionError,
     block_cut_tree,
     is_valid_nb_walk,
     leafward_escape,
-    nearest_block_path,
     path_in_block_avoiding,
+    reveal_all,
+    verify_certificate,
+    walk_weight,
 )
 from conftest import (
     brute_articulation_points,
@@ -173,28 +174,33 @@ def test_leafward_escape_reverse_is_nb(g_bridge, chain3_k4s):
 
 
 def test_nearest_block_path_n0(g_bridge):
-    bct = block_cut_tree(g_bridge)
-    assert nearest_block_path(g_bridge, bct, 6) == (3,)
+    """From bridge endpoint 3, which sits on a block, one doubling reveals {3,4}."""
+    cert = reveal_all(g_bridge, 3)[6]
+    assert len(cert.terms) == 2
+    assert verify_certificate(g_bridge, cert)
+    value = sum(c * walk_weight(g_bridge, w) for c, w in cert.terms) / cert.target_coefficient
+    assert value == g_bridge.weight(6)
 
 
 def test_nearest_block_path_n0_smaller_endpoint_wins():
     # flip block-id order so the larger endpoint owns the smaller block id
     edges = k4_edges([4, 5, 6, 7]) + [(3, 4)] + k4_edges([0, 1, 2, 3])
     g = Graph(8, edges)
-    bct = block_cut_tree(g)
     e = g.edge_id(3, 4)
-    assert nearest_block_path(g, bct, e) == (3,)
+    for start in (3, 4):
+        cert = reveal_all(g, start)[e]
+        assert len(cert.terms) == 2
+        assert verify_certificate(g, cert)
 
 
 def test_nearest_block_path_n1(h_bridge):
-    bct = block_cut_tree(h_bridge)
+    """Bridge {16,17} touches no 2-connected block; its walks reach past 17."""
     e = h_bridge.edge_id(16, 17)
-    path = nearest_block_path(h_bridge, bct, e)
-    assert path == (16, 0)
-    assert is_valid_nb_walk(h_bridge, path)
-
-
-def test_nearest_block_path_rejects_non_bridge(g_bridge):
-    bct = block_cut_tree(g_bridge)
-    with pytest.raises(NotABridgeError):
-        nearest_block_path(g_bridge, bct, 0)
+    cert = reveal_all(h_bridge, 16)[e]
+    assert verify_certificate(h_bridge, cert)
+    value = sum(c * walk_weight(h_bridge, w) for c, w in cert.terms) / cert.target_coefficient
+    assert value == h_bridge.weight(e)
+    used = {v for _, w in cert.terms for v in w}
+    assert used & {8, 9, 10, 11} and used & {12, 13, 14, 15}
+    for _, w in cert.terms:
+        assert w[0] == w[-1] == 16 and is_valid_nb_walk(h_bridge, w)

@@ -4,10 +4,8 @@ from fractions import Fraction
 import pytest
 
 from odograph import (
-    ApproachLibrary,
     Graph,
     IdentityTrace,
-    NotABridgeError,
     NotOdometricError,
     PreconditionError,
     RevealCertificate,
@@ -16,10 +14,7 @@ from odograph import (
     detour_cycle,
     flatten,
     is_valid_nb_walk,
-    lift_closed_walk,
     reveal_all,
-    reveal_block,
-    reveal_bridge,
     reveal_walk_to_any_cut,
     reveal_walk_to_cut,
     reverse,
@@ -28,8 +23,12 @@ from odograph import (
     walk_weight,
 )
 from odograph.errors import CyclicDependencyError, MissingCertificateError
-from odograph.revealer import _split_closed_walk
-from conftest import random_closed_nb_walk, random_min_deg3_edges, random_blocky_edges
+from conftest import (
+    k4_referencing_certificate,
+    random_blocky_edges,
+    random_closed_nb_walk,
+    random_min_deg3_edges,
+)
 
 
 def evaluate(g, cert):
@@ -173,36 +172,34 @@ def test_any_cut_all_ones(star_of_k4s):
     assert evaluate(ones, cert) == 2
 
 
-# ----------------------------------------------------------- lift machinery
+# ------------------------------------------------------- far-block reveals
 
 
 def test_lift_closed_walk_2k4(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    lib = ApproachLibrary(g_2k4cut, bct, 0)
-    cert = lift_closed_walk(g_2k4cut, bct, 0, 3, (3, 4, 5, 3), lib)
-    assert verify_certificate(g_2k4cut, cert)
-    expected = walk_weight(g_2k4cut, (3, 4, 5, 3))
-    assert evaluate(g_2k4cut, cert) == expected
-    audit_walks(g_2k4cut, cert, 0)
+    """Far-block edges are revealed straight from home, across cut vertex 3."""
+    certs = reveal_all(g_2k4cut, 0)
+    for e in (g_2k4cut.edge_id(3, 4), g_2k4cut.edge_id(4, 5), g_2k4cut.edge_id(3, 5)):
+        assert verify_certificate(g_2k4cut, certs[e])
+        assert evaluate(g_2k4cut, certs[e]) == g_2k4cut.weight(e)
+        audit_walks(g_2k4cut, certs[e], 0)
+    triangle = sum(
+        evaluate(g_2k4cut, certs[g_2k4cut.edge_id(a, b)]) for a, b in ((3, 4), (4, 5), (5, 3))
+    )
+    assert triangle == walk_weight(g_2k4cut, (3, 4, 5, 3))
 
 
 def test_lift_degenerate_home(k4):
-    bct = block_cut_tree(k4)
-    lib = ApproachLibrary(k4, bct, 0)
-    cert = lift_closed_walk(k4, bct, 0, 0, (0, 1, 2, 0), lib)
-    assert cert.target == (0, 1, 2, 0)
-    assert cert.target_coefficient == 1
-    assert cert.terms == ((1, (0, 1, 2, 0)),)
-    assert cert.edge_terms == ()
-
-
-def test_split_figure_eight(g_2k4cut):
-    pieces = _split_closed_walk((3, 0, 1, 3, 4, 5, 3), 3)
-    assert pieces == [(3, 0, 1, 3), (3, 4, 5, 3)]
-
-
-def test_split_no_interior_visit():
-    assert _split_closed_walk((3, 4, 5, 3), 3) == [(3, 4, 5, 3)]
+    """An edge at home needs one doubling: the walk to home is empty."""
+    certs = reveal_all(k4, 0)
+    assert certs[k4.edge_id(0, 1)].terms == (
+        (2, (0, 1, 2, 3, 1, 0)),
+        (-1, (0, 1, 2, 3, 1, 2, 3, 1, 0)),
+    )
+    for b in (1, 2, 3):
+        cert = certs[k4.edge_id(0, b)]
+        assert cert.target_coefficient == 2
+        assert [c for c, _ in cert.terms] == [2, -1]
+        assert cert.edge_terms == ()
 
 
 # --------------------------------------------------- transfer_neighbor_walk
@@ -243,94 +240,77 @@ def test_transfer_requires_incident_edge(k4):
         transfer_neighbor_walk(k4, 0, 1, k4.edge_id(2, 3), (1, 2, 3, 1))
 
 
-# ---------------------------------------------------------------ap library
+# ------------------------------------------------ walks into a cut vertex
 
 
 def test_approach_library_two_distinct_final_edges(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    lib = ApproachLibrary(g_2k4cut, bct, 0)
-    entries = lib.entries(3)
-    assert len(entries) >= 2
-    finals = {e.final_edge for e in entries}
+    """reveal_all reveals walks into cut vertex 3 on two distinct final edges."""
+    trace = IdentityTrace()
+    reveal_all(g_2k4cut, 0, trace)
+    into_cut = [rec for rec in trace.doublings if rec.base[-1] == 3]
+    finals = {g_2k4cut.edge_id(rec.base[-2], 3) for rec in into_cut}
     assert len(finals) >= 2
-    for entry in entries:
-        assert entry.walk[0] == 0 and entry.walk[-1] == 3
-        assert is_valid_nb_walk(g_2k4cut, entry.walk)
-        assert verify_certificate(g_2k4cut, entry.certificate)
-        assert evaluate(g_2k4cut, entry.certificate) == walk_weight(
-            g_2k4cut, entry.walk
-        )
+    for rec in into_cut:
+        assert rec.base[0] == 0
+        assert is_valid_nb_walk(g_2k4cut, rec.base)
+        for w in (rec.conjugate_once, rec.conjugate_twice):
+            assert w[0] == w[-1] == 0 and is_valid_nb_walk(g_2k4cut, w)
+        assert 2 * walk_weight(g_2k4cut, rec.base) == 2 * walk_weight(
+            g_2k4cut, rec.conjugate_once
+        ) - walk_weight(g_2k4cut, rec.conjugate_twice)
 
 
 # -------------------------------------------------------------- block sweep
 
 
 def test_reveal_block_k4_values(k4):
-    bct = block_cut_tree(k4)
-    certs = reveal_block(k4, bct, 0, 0)
-    assert sorted(certs) == [0, 1, 2, 3, 4, 5]
-    flat = {e: flatten(certs[e], certs) for e in certs}
-    values = [evaluate(k4, flat[e]) for e in sorted(flat)]
-    assert values == [1, 2, 3, 4, 5, 6]
+    for start in range(4):
+        certs = reveal_all(k4, start)
+        assert sorted(certs) == [0, 1, 2, 3, 4, 5]
+        assert [evaluate(k4, certs[e]) for e in sorted(certs)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_reveal_block_petersen_symbolic(petersen):
-    bct = block_cut_tree(petersen)
-    certs = reveal_block(petersen, bct, 0, 0)
+    certs = reveal_all(petersen, 0)
     assert len(certs) == 15
-    flat = {e: flatten(certs[e], certs) for e in certs}
-    for e, cert in flat.items():
+    for cert in certs.values():
         assert verify_certificate(petersen, cert)
         audit_walks(petersen, cert, 0)
 
 
 def test_reveal_block_home_audit_g_bridge(g_bridge):
-    bct = block_cut_tree(g_bridge)
-    near = [b for b in bct.blocks_at(3) if 0 in bct.blocks[b].vertices][0]
-    certs = reveal_block(g_bridge, bct, 3, near)
-    assert sorted(certs) == [0, 1, 2, 3, 4, 5]
+    """From the cut vertex 3, every edge on both sides is audited at 3."""
+    certs = reveal_all(g_bridge, 3)
+    assert sorted(certs) == list(range(13))
     for cert in certs.values():
         audit_walks(g_bridge, cert, 3)
         assert check_unflattened_identity(g_bridge, cert)
 
 
 def test_reveal_block_unflattened_identities(petersen):
-    bct = block_cut_tree(petersen)
-    certs = reveal_block(petersen, bct, 0, 0)
-    for cert in certs.values():
-        assert check_unflattened_identity(petersen, cert)
+    for start in range(10):
+        for cert in reveal_all(petersen, start).values():
+            assert check_unflattened_identity(petersen, cert)
 
 
 # ------------------------------------------------------------------ bridges
 
 
 def test_reveal_bridge_from_each_side(g_bridge):
-    bct = block_cut_tree(g_bridge)
     for home in (0, 7):
-        lib = ApproachLibrary(g_bridge, bct, home)
-        cert = reveal_bridge(g_bridge, bct, home, 6, lib)
-        flat = flatten(cert, {})
-        assert verify_certificate(g_bridge, flat)
-        assert evaluate(g_bridge, flat) == 7
-        audit_walks(g_bridge, flat, home)
+        cert = reveal_all(g_bridge, home)[6]
+        assert verify_certificate(g_bridge, cert)
+        assert evaluate(g_bridge, cert) == 7
+        audit_walks(g_bridge, cert, home)
 
 
 def test_reveal_bridge_distance_one(h_bridge):
-    bct = block_cut_tree(h_bridge)
+    """The middle bridge {16,17} touches no 2-connected block."""
     e = h_bridge.edge_id(16, 17)
-    lib = ApproachLibrary(h_bridge, bct, 1)
-    cert = reveal_bridge(h_bridge, bct, 1, e, lib)
-    flat = flatten(cert, {})
-    assert verify_certificate(h_bridge, flat)
-    assert evaluate(h_bridge, flat) == h_bridge.weight(e)
-    audit_walks(h_bridge, flat, 1)
-
-
-def test_reveal_bridge_rejects_non_bridge(g_bridge):
-    bct = block_cut_tree(g_bridge)
-    lib = ApproachLibrary(g_bridge, bct, 0)
-    with pytest.raises(NotABridgeError):
-        reveal_bridge(g_bridge, bct, 0, 0, lib)
+    cert = reveal_all(h_bridge, 1)[e]
+    assert verify_certificate(h_bridge, cert)
+    assert evaluate(h_bridge, cert) == h_bridge.weight(e)
+    audit_walks(h_bridge, cert, 1)
 
 
 # ----------------------------------------------------------------- the whole
@@ -340,6 +320,21 @@ def test_reveal_all_k4(k4):
     certs = reveal_all(k4, 0)
     flat = {e: flatten(certs[e], certs) for e in sorted(certs)}
     assert [evaluate(k4, flat[e]) for e in sorted(flat)] == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "name", ["k4", "petersen", "g_2k4cut", "g_bridge", "star_of_k4s", "chain3_k4s", "h_bridge"]
+)
+def test_reveal_all_certificates_are_direct(request, name):
+    """No edge references, c_e = 2, and only closed walks from the start."""
+    g = request.getfixturevalue(name)
+    for start in range(g.vertex_count):
+        for cert in reveal_all(g, start).values():
+            assert cert.edge_terms == ()
+            assert cert.target_coefficient == 2
+            assert cert.home == start
+            audit_walks(g, cert, start)
+            assert verify_certificate(g, cert)
 
 
 def test_reveal_all_g_bridge_counts(g_bridge):
@@ -412,14 +407,12 @@ def test_flatten_no_edge_terms_is_identity(k4):
 
 
 def test_flatten_single_reference_symbolic(k4):
-    certs = reveal_all(k4, 0)
-    with_refs = [c for c in certs.values() if c.edge_terms]
-    assert with_refs  # the construction re-anchors, so references exist
-    cert = with_refs[0]
+    cert = k4_referencing_certificate(k4)
     assert check_unflattened_identity(k4, cert)
-    flat = flatten(cert, certs)
+    flat = flatten(cert, reveal_all(k4, 0))
     assert not flat.edge_terms
     assert verify_certificate(k4, flat)
+    assert evaluate(k4, flat) == 4
 
 
 def test_flatten_whole_store_k4(k4):

@@ -21,6 +21,7 @@ from odograph import (
     reveal_all,
     verify_certificate,
 )
+from conftest import k4_referencing_certificate
 
 
 def flat_store(g, start):
@@ -112,11 +113,9 @@ def test_extract_minimal_basis_petersen(petersen):
 
 
 def test_extract_requires_flattened(k4):
-    certs = reveal_all(k4, 0)
-    dirty = {e: c for e, c in certs.items() if c.edge_terms}
-    assert dirty  # re-anchoring leaves edge references before flattening
+    dirty = k4_referencing_certificate(k4)
     with pytest.raises(PreconditionError):
-        extract_minimal_basis(k4, dirty)
+        extract_minimal_basis(k4, {dirty.target: dirty})
 
 
 def test_extract_detects_deficiency(k4):
