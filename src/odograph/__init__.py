@@ -37,17 +37,12 @@ from .decomposition import (
     Block,
     BlockCutTree,
     block_cut_tree,
-    leafward_escape,
-    path_in_block_avoiding,
 )
 from .revealer import (
     IdentityTrace,
     RevealCertificate,
-    detour_cycle,
     flatten,
     reveal_all,
-    reveal_walk_to_any_cut,
-    reveal_walk_to_cut,
     transfer_neighbor_walk,
 )
 from .solver import (
@@ -86,13 +81,8 @@ __all__ = [
     "Block",
     "BlockCutTree",
     "block_cut_tree",
-    "path_in_block_avoiding",
-    "leafward_escape",
     "RevealCertificate",
     "IdentityTrace",
-    "detour_cycle",
-    "reveal_walk_to_cut",
-    "reveal_walk_to_any_cut",
     "transfer_neighbor_walk",
     "reveal_all",
     "flatten",

@@ -13,7 +13,8 @@ Graph files look like:
     e 2 3 6
 
 Weights are integers or p/q rationals. A vertex count above 2|E| + 1 is a
-parse error, because some vertex would have no edge. Exit codes: 0
+parse error, because some vertex would have no edge, and so is a file
+that is not valid UTF-8. Exit codes: 0
 success/affirmative, 1 domain-negative (not odometric, recovery mismatch),
 2 usage or parse error, or stdout closed early. Output ordering is
 deterministic, so identical invocations produce byte-identical output.
@@ -111,10 +112,15 @@ def parse_graph_text(text: str) -> Graph:
 
 def _load(path: str) -> Graph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read '{path}': {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError("file is not valid UTF-8 text", lineno) from None
     return parse_graph_text(text)
 
 

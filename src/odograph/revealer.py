@@ -6,17 +6,13 @@ weights equals an integer multiple of it. Everything here manufactures such
 combinations explicitly, so the output is a checkable certificate rather
 than a bare number.
 
-The constructions lean on two facts used over and over:
-
-* In a 2-connected block, every vertex u sits on a short closed walk (a
-  "detour cycle") whose first and last edges differ, so the cycle can be
-  traversed twice in a row without backtracking.
-* Two distinct blocks meeting at a cut vertex u share no other vertex, so a
-  walk entering u inside one block and leaving inside another can never
-  backtrack at u. Junctions across blocks are therefore always safe.
-
-The central identity: for a walk W from the start to u and a detour cycle C
-at u whose junctions with W are safe,
+The constructions rest on one local fact. Let a walk W from the start end at
+v, arriving from x. When every vertex has degree at least 3, v sits on a
+closed non-backtracking walk C (a "detour cycle") whose first and last arcs
+avoid x and differ from each other: the non-backtracking arc graph
+(Hashimoto's edge operator) is strongly connected on such graphs, so a
+breadth-first search in the graph itself finds C. Then W.C.rev(W) and
+W.C.C.rev(W) never backtrack, and
 
     2 F(W) = 2 F(W.C.rev(W)) - F(W.C.C.rev(W))
 
@@ -35,13 +31,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .decomposition import (
-    BlockCutTree,
-    _escape_toward_leaf,
-    block_cut_tree,
-    leafward_escape,
-    path_in_block_avoiding,
-)
 from .errors import (
     CyclicDependencyError,
     MissingCertificateError,
@@ -106,15 +95,15 @@ class IdentityTrace:
     doublings: list[DoublingRecord] = field(default_factory=list)
 
 
-# --- linear forms over closed-walk weights -------------------------------
+# --- linear forms over closed-walk weights, for flatten ---------------------
 
 
 class _Form:
     """denom * value == sum(walks[w] * F(w)) + sum(edges[e] * w_e).
 
     Coefficients are integers, denom is a positive integer, and the whole
-    thing is kept gcd-reduced. This is the working representation while
-    identities are being combined; certificates are its frozen rendering.
+    thing is kept gcd-reduced. ``flatten`` substitutes edge references in
+    this representation; certificates are its frozen rendering.
     """
 
     __slots__ = ("denom", "walks", "edges")
@@ -169,10 +158,13 @@ def _form_of(cert: RevealCertificate) -> _Form:
     )
 
 
+def _term_order(term: tuple[int, Walk]) -> tuple[int, Walk]:
+    """Certificate terms are listed shortest walk first, then by vertices."""
+    return len(term[1]), term[1]
+
+
 def _freeze(target: int | Walk, home: int, form: _Form) -> RevealCertificate:
-    terms = tuple(
-        (c, w) for w, c in sorted(form.walks.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    )
+    terms = tuple(sorted(((c, w) for w, c in form.walks.items()), key=_term_order))
     edge_terms = tuple((d, e) for e, d in sorted(form.edges.items()))
     return RevealCertificate(
         target=target,
@@ -181,157 +173,6 @@ def _freeze(target: int | Walk, home: int, form: _Form) -> RevealCertificate:
         terms=terms,
         edge_terms=edge_terms,
     )
-
-
-# --- elementary constructions ----------------------------------------------
-
-
-def detour_cycle(
-    g: Graph,
-    bct: BlockCutTree,
-    u: int,
-    block: int,
-    exclude_neighbor: int | None = None,
-) -> tuple[Walk, int, int]:
-    """Closed walk at u inside a 2-connected block with distinct end edges.
-
-    Uses the two smallest block-neighbors of u (optionally skipping one
-    excluded neighbor) joined by a path that avoids u. Because the first and
-    last edges differ, the cycle may be traversed twice in succession.
-    Returns (cycle, first edge id, last edge id).
-    """
-    blk = bct.blocks[block]
-    if blk.is_bridge:
-        raise PreconditionError("detour cycles live in 2-connected blocks")
-    if u not in blk.vertices:
-        raise PreconditionError(f"vertex {u} is not in block {block}")
-    nbrs = [
-        v
-        for v, eid in g.incident(u)
-        if bct.block_of_edge[eid] == block and v != exclude_neighbor
-    ]
-    if len(nbrs) < 2:
-        raise PreconditionError(f"vertex {u} has too few usable neighbors in block {block}")
-    x, y = nbrs[0], nbrs[1]
-    path = path_in_block_avoiding(g, bct, block, x, y, u)
-    cycle = concat(concat((u, x), path), (y, u))
-    return cycle, g.edge_id(u, x), g.edge_id(y, u)
-
-
-def _doubling_forms(
-    w: Walk, cycle: Walk, trace: IdentityTrace | None
-) -> tuple[_Form, _Form]:
-    """Forms for F(w) and F(cycle) from the two conjugates of w around cycle."""
-    once = concat(concat(w, cycle), reverse(w))
-    twice = concat(concat(concat(w, cycle), cycle), reverse(w))
-    if trace is not None:
-        trace.doublings.append(DoublingRecord(w, cycle, once, twice))
-    form_w = _combine([(1, _atom(once)), (Fraction(-1, 2), _atom(twice))])
-    form_c = _combine([(1, _atom(twice)), (-1, _atom(once))])
-    return form_w, form_c
-
-
-# --- revealing open walks to cut vertices -----------------------------------
-
-
-def reveal_walk_to_cut(
-    g: Graph,
-    bct: BlockCutTree,
-    home: int,
-    w: Walk,
-    u: int,
-    block: int,
-    trace: IdentityTrace | None = None,
-) -> RevealCertificate:
-    """Reveal an open walk from home to u, a cut vertex of a 2-connected block.
-
-    If the walk arrives on an edge outside the block, a detour cycle at u
-    inside the block conjugates safely and the doubling identity applies
-    directly. Otherwise the walk first escapes leafward to another block
-    where the direct case applies, and the escape is priced separately.
-    """
-    require_valid_walk(g, w)
-    if len(w) < 2:
-        raise PreconditionError("reveal_walk_to_cut needs a walk with at least one edge")
-    if w[0] != home or w[-1] != u:
-        raise PreconditionError(f"walk must run from {home} to {u}")
-    blk = bct.blocks[block]
-    if blk.is_bridge or u not in blk.vertices or not bct.is_cut_vertex(u):
-        raise PreconditionError(f"vertex {u} must be a cut vertex of 2-connected block {block}")
-    form = _reveal_walk_form(g, bct, w, u, block, trace)
-    return _freeze(w, home, form)
-
-
-def _reveal_walk_form(
-    g: Graph, bct: BlockCutTree, w: Walk, u: int, block: int, trace: IdentityTrace | None
-) -> _Form:
-    last_edge = g.edge_id(w[-2], w[-1])
-    if bct.block_of_edge[last_edge] != block:
-        cycle, _, _ = detour_cycle(g, bct, u, block)
-        form_w, _ = _doubling_forms(w, cycle, trace)
-        return form_w
-    # arrival edge inside the block: go around through a neighboring block
-    esc, u2, b2 = leafward_escape(g, bct, u, block)
-    c2, _, _ = detour_cycle(g, bct, u2, b2)
-    ww = concat(w, esc)
-    form_ww, form_c2 = _doubling_forms(ww, c2, trace)
-    detoured = concat(concat(ww, c2), reverse(esc))
-    cycle, _, _ = detour_cycle(g, bct, u, block)
-    form_detoured, _ = _doubling_forms(detoured, cycle, trace)
-    # F(esc) = F(detoured) - F(ww) - F(c2) and F(w) = F(ww) - F(esc)
-    return _combine([(2, form_ww), (1, form_c2), (-1, form_detoured)])
-
-
-def reveal_walk_to_any_cut(
-    g: Graph,
-    bct: BlockCutTree,
-    home: int,
-    w: Walk,
-    u: int,
-    trace: IdentityTrace | None = None,
-) -> RevealCertificate:
-    """Reveal an open walk from home to any cut vertex u.
-
-    When u touches a 2-connected block this defers to reveal_walk_to_cut.
-    Otherwise every edge at u is a bridge; a closed detour through two
-    different bridge-side components of u is stitched together from escape
-    walks, and the doubling identity applies to it. Requires minimum
-    degree 3 so u has two neighbors besides the walk's arrival vertex.
-    """
-    require_valid_walk(g, w)
-    if len(w) < 2:
-        raise PreconditionError("reveal_walk_to_any_cut needs a walk with at least one edge")
-    if w[0] != home or w[-1] != u:
-        raise PreconditionError(f"walk must run from {home} to {u}")
-    if not bct.is_cut_vertex(u):
-        raise PreconditionError(f"vertex {u} is not a cut vertex")
-    two_conn = bct.two_connected_blocks_at(u)
-    if two_conn:
-        return reveal_walk_to_cut(g, bct, home, w, u, two_conn[0], trace)
-    arrived_from = w[-2]
-    others = [v for v in g.neighbors(u) if v != arrived_from]
-    if len(others) < 2:
-        raise PreconditionError(f"vertex {u} needs degree at least 3")
-    x, y = others[0], others[1]
-    cycle = concat(
-        concat(concat((u, x), _bridge_side_loop(g, bct, u, x)), (x, u, y)),
-        concat(_bridge_side_loop(g, bct, u, y), (y, u)),
-    )
-    form_w, _ = _doubling_forms(w, cycle, trace)
-    return _freeze(w, home, form_w)
-
-
-def _bridge_side_loop(g: Graph, bct: BlockCutTree, u: int, x: int) -> Walk:
-    """Closed walk from x that never crosses the bridge {u,x}.
-
-    x has degree >= 3 and its edge to u is a bridge, so x is itself a cut
-    vertex; escape from the bridge block toward a leaf block and run its
-    detour cycle there.
-    """
-    bridge_block = bct.block_of_edge[g.edge_id(u, x)]
-    esc, u2, b2 = _escape_toward_leaf(g, bct, x, bridge_block)
-    c2, _, _ = detour_cycle(g, bct, u2, b2)
-    return concat(concat(esc, c2), reverse(esc))
 
 
 # --- moving a closed walk to a neighboring home -----------------------------
@@ -380,23 +221,56 @@ def _shortest_walks(g: Graph, start: int) -> dict[int, Walk]:
     return walks
 
 
-def _reveal_open_walk(
-    g: Graph, bct: BlockCutTree, w: Walk, trace: IdentityTrace | None
-) -> _Form:
-    """Form for F(w), an open walk from the start with at least one edge.
+def _detour_cycle(g: Graph, x: int, v: int) -> Walk:
+    """Closed non-backtracking walk at v whose first and last arcs differ
+    and avoid x, for a vertex v of degree at least 3 with neighbor x.
 
-    Doubles around a detour cycle at the far end that avoids the arrival
-    vertex, inside the first 2-connected block that leaves the end vertex
-    two other neighbors. That fails only at a cut vertex, where the
-    leafward escape of ``reveal_walk_to_any_cut`` takes over.
+    For each neighbor y other than x, ascending, a breadth-first search in
+    the graph without v runs from y to the first neighbor z of v outside
+    {x, y}, closing v.y...z.v. That fails for every y only when v separates
+    all its other neighbors from each other; then a breadth-first search
+    over non-backtracking arcs from v->y reaches an arc z->v with z outside
+    {x, y}, because that arc graph is strongly connected.
     """
-    v, x = w[-1], w[-2]
-    for block in bct.two_connected_blocks_at(v):
-        others = sum(1 for y, eid in g.incident(v) if bct.block_of_edge[eid] == block and y != x)
-        if others >= 2:
-            cycle, _, _ = detour_cycle(g, bct, v, block, exclude_neighbor=x)
-            return _doubling_forms(w, cycle, trace)[0]
-    return _form_of(reveal_walk_to_any_cut(g, bct, w[0], w, v, trace))
+    others = [y for y in g.neighbors(v) if y != x]
+    for y in others:
+        targets = set(others) - {y}
+        prev = {y: y, v: v}  # v counts as seen, so the search runs in G - v
+        queue = deque([y])
+        while queue:
+            a = queue.popleft()
+            for b in g.neighbors(a):
+                if b in prev:
+                    continue
+                prev[b] = a
+                if b in targets:
+                    path = [v, b]
+                    while b != y:
+                        b = prev[b]
+                        path.append(b)
+                    path.append(v)
+                    return tuple(reversed(path))
+                queue.append(b)
+    first = (v, others[0])
+    came_from = {first: first}
+    queue = deque([first])
+    while queue:
+        arc = queue.popleft()
+        a, b = arc
+        for c in g.neighbors(b):
+            nxt = (b, c)
+            if c == a or nxt in came_from:
+                continue
+            came_from[nxt] = arc
+            if c == v and b != x and b != first[1]:
+                heads = [v]
+                while nxt != first:
+                    nxt = came_from[nxt]
+                    heads.append(nxt[1])
+                heads.append(v)
+                return tuple(reversed(heads))
+            queue.append(nxt)
+    raise PreconditionError(f"no detour cycle at {v} avoiding {x}; is the minimum degree 3?")
 
 
 def reveal_all(
@@ -408,9 +282,16 @@ def reveal_all(
     with a no farther from the start than b, P is the breadth-first walk
     from the start to a; P.b never backtracks, because a's predecessor on P
     is strictly closer than b. The certificate is w_ab = F(P.b) - F(P),
-    with F of the empty walk 0 and each open walk revealed once by the
-    doubling identity, so every certificate has target coefficient 2, no
-    edge references, and only closed non-backtracking walks from start.
+    with F of the empty walk 0 and each open walk W revealed once by the
+    doubling identity around a detour cycle C at its far end:
+
+        2 w_ab = 2 F(once(P.b)) - F(twice(P.b)) - 2 F(once(P)) + F(twice(P))
+
+    with once(W) = W.C.rev(W) and twice(W) = W.C.C.rev(W). So every
+    certificate has target coefficient 2, no edge references, and at most
+    four closed non-backtracking walks from start. The four are distinct,
+    because a detour cycle's first and last arcs differ, so no two terms
+    ever combine.
     """
     if not (0 <= start < g.vertex_count):
         raise PreconditionError(f"start vertex {start} is out of range")
@@ -421,23 +302,29 @@ def reveal_all(
         )
     if not is_connected(g):
         raise NotOdometricError("graph is disconnected")
-    bct = block_cut_tree(g)
     paths = _shortest_walks(g, start)
-    revealed: dict[Walk, _Form] = {}
+    conjugates: dict[Walk, tuple[Walk, Walk]] = {}
 
-    def reveal(w: Walk) -> _Form:
-        if w not in revealed:
-            revealed[w] = _reveal_open_walk(g, bct, w, trace)
-        return revealed[w]
+    def conjugate(w: Walk) -> tuple[Walk, Walk]:
+        if w not in conjugates:
+            cycle = _detour_cycle(g, w[-2], w[-1])
+            once = concat(concat(w, cycle), reverse(w))
+            twice = concat(concat(concat(w, cycle), cycle), reverse(w))
+            if trace is not None:
+                trace.doublings.append(DoublingRecord(w, cycle, once, twice))
+            conjugates[w] = (once, twice)
+        return conjugates[w]
 
     certs: dict[int, RevealCertificate] = {}
     for e, (a, b) in enumerate(g.edges):
         if len(paths[b]) < len(paths[a]):
             a, b = b, a
-        parts = [(1, reveal(paths[a] + (b,)))]
+        once, twice = conjugate(paths[a] + (b,))
+        terms = [(2, once), (-1, twice)]
         if a != start:
-            parts.append((-1, reveal(paths[a])))
-        certs[e] = _freeze(e, start, _combine(parts))
+            once, twice = conjugate(paths[a])
+            terms += [(-2, once), (1, twice)]
+        certs[e] = RevealCertificate(e, 2, start, tuple(sorted(terms, key=_term_order)))
     return certs
 
 

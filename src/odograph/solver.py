@@ -4,8 +4,9 @@ A walk matrix has one row per edge (by id) and one column per walk, with
 usage counts as entries. Rank, basis selection, solving and the invisible
 directions of ``oracle.span_report`` all go through one exact elimination
 kernel, ``_Echelon``: it holds each walk's usage vector as a sparse integer
-row, eliminates fraction-free, and keeps measurements as exact rational
-right-hand sides, so solved weights come back as Fractions.
+row, clears each measurement's denominator into its row, eliminates
+fraction-free, and only back substitutes in rationals, so solved weights
+come back as Fractions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .graph import Graph
 from .revealer import RevealCertificate
-from .walks import Walk, edge_multiplicities
+from .walks import Walk, edge_multiplicities, require_valid_walk
 
 
 @dataclass(frozen=True)
@@ -56,30 +57,36 @@ def build_walk_matrix(g: Graph, walks: Sequence[Walk]) -> WalkMatrix:
 
 
 class _Echelon:
-    """Exact incremental row echelon form over sparse integer vectors.
+    """Exact incremental row echelon form over sparse integer equations.
 
     Each stored row is a ``{column: int}`` dict whose pivot is its smallest
-    column, together with an exact rational right-hand side. Elimination is
-    fraction-free and rows are content-reduced when stored, so fractions
-    only ever appear on the right-hand sides.
+    column, together with an integer right-hand side. A rational right-hand
+    side has its denominator cleared into the row once, on entry; from then
+    on elimination is fraction-free and each stored equation is divided by
+    the gcd of its row and right-hand side. With right-hand side 0, as in
+    rank, basis selection and span relations, no Fraction is ever made, and
+    rows stay primitive because gcd(v, 0) = gcd(v). Only back substitution
+    is rational.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
-        self.rhs: dict[int, Fraction | int] = {}
+        self.rhs: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, vec: Sequence[int], rhs: Fraction | int = 0) -> Fraction | int | None:
+    def add(self, vec: Sequence[int], rhs: Fraction | int = 0) -> int | None:
         """Reduce the equation ``vec · x = rhs`` against the stored rows.
 
         Returns None if vec is independent of them, and stores it. Otherwise
-        returns the residual right-hand side, which is zero exactly when the
-        equation is consistent with the stored ones.
+        returns the residual right-hand side, an integer multiple of the
+        true residual, which is zero exactly when the equation is consistent
+        with the stored ones.
         """
-        v = {j: x for j, x in enumerate(vec) if x}
+        d, rhs = rhs.denominator, rhs.numerator
+        v = {j: x * d for j, x in enumerate(vec) if x}
         heap = list(v)
         heapify(heap)
         while heap:
@@ -89,10 +96,10 @@ class _Echelon:
                 continue
             row = self.rows.get(c)
             if row is None:
-                content = gcd(*v.values())
+                content = gcd(*v.values(), rhs)
                 if content > 1:
                     v = {j: x // content for j, x in v.items()}
-                    rhs = Fraction(rhs, content)
+                    rhs //= content
                 self.rows[c] = v
                 self.rhs[c] = rhs
                 return None
@@ -223,15 +230,25 @@ def verify_certificate(g: Graph, cert: RevealCertificate) -> bool:
     True iff, for every edge, the summed usage counts of the certificate
     walks equal the target coefficient times the target's usage of that
     edge. This never looks at weights, so it certifies the identity for
-    every weighting at once.
+    every weighting at once. Usage counts are kept sparse, so the check
+    takes time linear in the total length of the walks.
     """
     if cert.edge_terms:
         raise PreconditionError("verify_certificate needs a flattened certificate")
-    acc = [0] * g.edge_count
-    for c, w in cert.terms:
-        for e, mult in enumerate(edge_multiplicities(g, w)):
-            if mult:
-                acc[e] += c * mult
-    target = cert.target_multiplicities(g)
+    balance: dict[int, int] = {}
     coeff = cert.target_coefficient
-    return all(acc[e] == coeff * target[e] for e in range(g.edge_count))
+    if isinstance(cert.target, int):
+        balance[cert.target] = -coeff
+    else:
+        _add_usage(g, balance, -coeff, cert.target)
+    for c, w in cert.terms:
+        _add_usage(g, balance, c, w)
+    return not any(balance.values())
+
+
+def _add_usage(g: Graph, balance: dict[int, int], c: int, w: Walk) -> None:
+    """Add c times the walk's usage count of each edge to balance."""
+    require_valid_walk(g, w)
+    for a, b in zip(w, w[1:]):
+        e = g.edge_id(a, b)
+        balance[e] = balance.get(e, 0) + c

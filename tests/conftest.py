@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from odograph import Graph, RevealCertificate
+from odograph import Graph, IdentityTrace, RevealCertificate, reveal_all
 
 
 def k4_edges(vs):
@@ -106,6 +106,13 @@ def h_bridge():
         + [(0, 16), (4, 16), (8, 17), (12, 17), (16, 17)]
     )
     return Graph(18, edges, list(range(1, len(edges) + 1)))
+
+
+def doublings(g, start):
+    """Every doubling record of reveal_all from start, keyed by its base walk."""
+    trace = IdentityTrace()
+    reveal_all(g, start, trace)
+    return {rec.base: rec for rec in trace.doublings}
 
 
 # ---------------------------------------------------------------- samplers

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,29 @@ def test_check_exit_codes_on_format_shaped_text(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.graph"
     path.write_text(text, encoding="utf-8")
     assert main(["check", str(path)]) in (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.tuples(graph_texts(), st.binary(min_size=1, max_size=4), st.integers(0, 400)).map(
+            lambda t: t[0].encode("utf-8")[: t[2]] + t[1] + t[0].encode("utf-8")[t[2] :]
+        ),
+    )
+)
+def test_check_exit_codes_on_arbitrary_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bytes"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) in (0, 1, 2)
+
+
+def test_invalid_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"odometry-graph v1\nn 4\n\xff\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: file is not valid UTF-8 text\n"
 
 
 def test_unreadable_file(capsys):
@@ -462,3 +487,19 @@ def test_closed_stdout_exits_2_without_traceback(graph_file, tmp_path, monkeypat
         # the descriptor now writes to devnull, so the flush at exit succeeds
         assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == ""
+
+
+# ------------------------------------------------------------------- README
+
+
+def test_readme_reveal_example_matches_a_run(tmp_path, capsys):
+    """The README's `reveal k4.graph --minimal` block, on its K4 file, byte for byte."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, flags=re.S | re.M)
+    graph = next(b for b in blocks if b.startswith("odometry-graph v1\n"))
+    command = "$ odograph reveal k4.graph --minimal\n"
+    shown = next(b for b in blocks if b.startswith(command))[len(command):]
+    path = tmp_path / "k4.graph"
+    path.write_text(graph, encoding="utf-8")
+    assert main(["reveal", str(path), "--minimal"]) == 0
+    assert capsys.readouterr().out == shown

@@ -5,11 +5,8 @@ import pytest
 from odograph import (
     DisconnectedGraphError,
     Graph,
-    PreconditionError,
     block_cut_tree,
     is_valid_nb_walk,
-    leafward_escape,
-    path_in_block_avoiding,
     reveal_all,
     verify_certificate,
     walk_weight,
@@ -17,6 +14,7 @@ from odograph import (
 from conftest import (
     brute_articulation_points,
     brute_bridges,
+    doublings,
     k4_edges,
     random_min_deg3_edges,
     random_blocky_edges,
@@ -90,15 +88,19 @@ def Graph_from_edges(edges):
     return Graph(n, edges)
 
 
+def detour_path(rec):
+    """The cycle's path between the base end's two chosen neighbors."""
+    return rec.cycle[1:-1]
+
+
 def test_path_in_block_avoiding_adjacent(k4):
-    bct = block_cut_tree(k4)
-    assert path_in_block_avoiding(k4, bct, 0, 1, 2, 0) == (1, 2)
+    """From 3, the walk (3, 0) closes at 0 along the edge {1,2}, avoiding 0."""
+    assert detour_path(doublings(k4, 3)[(3, 0)]) == (1, 2)
 
 
 def test_path_in_block_avoiding_2k4(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    far = bct.blocks_at(4)[0]
-    assert path_in_block_avoiding(g_2k4cut, bct, far, 4, 5, 3) == (4, 5)
+    """Inside the far block, the detour at 4 joins 5 to 6 without using 4."""
+    assert detour_path(doublings(g_2k4cut, 0)[(0, 3, 4)]) == (5, 6)
 
 
 def test_path_in_block_avoiding_detours():
@@ -107,70 +109,72 @@ def test_path_in_block_avoiding_detours():
         (0, 4), (2, 4), (1, 5), (3, 5), (4, 5), (1, 4), (3, 4)
     ]
     g = Graph(6, edges)
-    bct = block_cut_tree(g)
-    # inside the single block, going 1 -> 3 while avoiding 0
-    walk = path_in_block_avoiding(g, bct, 0, 1, 3, 0)
-    assert walk[0] == 1 and walk[-1] == 3
-    assert 0 not in walk
-    assert len(set(walk)) == len(walk)
-    assert is_valid_nb_walk(g, walk)
+    for start in range(6):
+        for rec in doublings(g, start).values():
+            v, path = rec.base[-1], detour_path(rec)
+            assert v not in path
+            assert len(set(path)) == len(path)
+            assert is_valid_nb_walk(g, rec.cycle)
 
 
 def test_path_in_block_avoiding_validates(k4):
-    bct = block_cut_tree(k4)
-    with pytest.raises(PreconditionError):
-        path_in_block_avoiding(k4, bct, 0, 1, 1, 2)
+    """The detour's two end neighbors and the arrival vertex are three
+    distinct vertices, and the path between the ends avoids the base's end."""
+    for start in range(4):
+        for rec in doublings(k4, start).values():
+            assert len({rec.cycle[1], rec.cycle[-2], rec.base[-2]}) == 3
+            assert rec.base[-1] not in detour_path(rec)
 
 
 def test_leafward_escape_degenerate(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    near = [b for b in bct.blocks_at(3) if 0 in bct.blocks[b].vertices][0]
-    walk, u_prime, b_prime = leafward_escape(g_2k4cut, bct, 3, near)
-    assert walk == (3,)
-    assert u_prime == 3
-    assert b_prime != near
-    assert set(bct.blocks[b_prime].vertices) == {3, 4, 5, 6}
+    """A walk into cut vertex 3 from the far block detours in the near block."""
+    rec = doublings(g_2k4cut, 4)[(4, 3)]
+    assert rec.cycle == (3, 0, 1, 3)
 
 
 def test_leafward_escape_through_bridge(g_bridge):
-    bct = block_cut_tree(g_bridge)
-    near = [b for b in bct.blocks_at(3) if 0 in bct.blocks[b].vertices][0]
-    walk, u_prime, b_prime = leafward_escape(g_bridge, bct, 3, near)
-    assert walk == (3, 4)
-    assert u_prime == 4
-    assert set(bct.blocks[b_prime].vertices) == {4, 5, 6, 7}
+    """From the far K4, the walk across the bridge detours in the near K4."""
+    rec = doublings(g_bridge, 7)[(7, 4, 3)]
+    assert set(rec.cycle) <= {0, 1, 2, 3}
+    cert = reveal_all(g_bridge, 7)[6]
+    assert verify_certificate(g_bridge, cert)
+    value = sum(c * walk_weight(g_bridge, w) for c, w in cert.terms) / cert.target_coefficient
+    assert value == g_bridge.weight(6)
 
 
 def test_leafward_escape_two_block_hop(chain3_k4s):
-    bct = block_cut_tree(chain3_k4s)
-    first = [b for b in bct.blocks_at(3) if 0 in bct.blocks[b].vertices][0]
-    walk, u_prime, b_prime = leafward_escape(chain3_k4s, bct, 3, first)
-    assert walk[0] == 3 and walk[-1] == u_prime == 6
-    assert is_valid_nb_walk(chain3_k4s, walk)
-    target = bct.blocks[b_prime]
-    assert set(target.vertices) == {6, 7, 8, 9}
-    # the walk stays out of both the avoided and the destination block
-    first_edges = set(bct.blocks[first].edge_ids)
-    dest_edges = set(target.edge_ids)
-    used = {chain3_k4s.edge_id(a, b) for a, b in zip(walk, walk[1:])}
-    assert not (used & first_edges)
-    assert not (used & dest_edges)
+    """Edges of the last K4 are revealed from 0 through both cut vertices,
+    with every detour of the last block inside it."""
+    g = chain3_k4s
+    certs = reveal_all(g, 0)
+    for rec in doublings(g, 0).values():
+        if rec.base[-1] in (7, 8, 9):
+            assert set(rec.cycle) <= {6, 7, 8, 9}
+    for a, b in ((6, 7), (7, 8), (8, 9)):
+        cert = certs[g.edge_id(a, b)]
+        assert verify_certificate(g, cert)
+        value = sum(c * walk_weight(g, w) for c, w in cert.terms) / cert.target_coefficient
+        assert value == g.weight(g.edge_id(a, b))
+        for _, w in cert.terms:
+            assert {3, 6} <= set(w)
 
 
 def test_leafward_escape_rejects_bridge_avoid_block(h_bridge):
-    bct = block_cut_tree(h_bridge)
-    bridge_block = [b for b in bct.blocks_at(16) if bct.blocks[b].is_bridge][0]
-    with pytest.raises(PreconditionError):
-        leafward_escape(h_bridge, bct, 16, bridge_block)
+    """Hub 16 touches only bridges; its detours still verify, through the
+    arc search, which passes through 16 midway."""
+    recs = doublings(h_bridge, 0)
+    rec = recs[(0, 16)]
+    assert 16 in rec.cycle[1:-1]
+    for cert in reveal_all(h_bridge, 0).values():
+        assert verify_certificate(h_bridge, cert)
 
 
 def test_leafward_escape_reverse_is_nb(g_bridge, chain3_k4s):
-    for g, u in ((g_bridge, 3), (chain3_k4s, 3)):
-        bct = block_cut_tree(g)
-        near = [b for b in bct.blocks_at(u) if 0 in bct.blocks[b].vertices][0]
-        walk, _, _ = leafward_escape(g, bct, u, near)
-        assert is_valid_nb_walk(g, walk)
-        assert is_valid_nb_walk(g, walk[::-1])
+    for g in (g_bridge, chain3_k4s):
+        for rec in doublings(g, 0).values():
+            for w in (rec.cycle, rec.conjugate_once, rec.conjugate_twice):
+                assert is_valid_nb_walk(g, w)
+                assert is_valid_nb_walk(g, w[::-1])
 
 
 def test_nearest_block_path_n0(g_bridge):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odograph import (
     Graph,
@@ -11,19 +13,19 @@ from odograph import (
     RevealCertificate,
     block_cut_tree,
     concat,
-    detour_cycle,
     flatten,
     is_valid_nb_walk,
     reveal_all,
-    reveal_walk_to_any_cut,
-    reveal_walk_to_cut,
     reverse,
     transfer_neighbor_walk,
     verify_certificate,
     walk_weight,
 )
 from odograph.errors import CyclicDependencyError, MissingCertificateError
+from odograph.revealer import _detour_cycle
 from conftest import (
+    _GADGETS,
+    doublings,
     k4_referencing_certificate,
     random_blocky_edges,
     random_closed_nb_walk,
@@ -60,30 +62,54 @@ def audit_walks(g, cert, home):
         assert is_valid_nb_walk(g, w)
 
 
-# ------------------------------------------------------------ detour_cycle
+def check_detour(g, rec):
+    """The record's cycle closes at the base's end, never backtracks even
+    when run twice, and its first and last arcs differ and avoid the
+    arrival vertex; both conjugates are closed walks from the base's start."""
+    v, x = rec.base[-1], rec.base[-2]
+    cycle = rec.cycle
+    assert cycle[0] == cycle[-1] == v
+    assert cycle[1] != cycle[-2]
+    assert x not in (cycle[1], cycle[-2])
+    assert is_valid_nb_walk(g, cycle) and is_valid_nb_walk(g, concat(cycle, cycle))
+    for w in (rec.conjugate_once, rec.conjugate_twice):
+        assert w[0] == w[-1] == rec.base[0]
+        assert is_valid_nb_walk(g, w)
+
+
+def revealed_value(g, rec):
+    """F(base) from the record's doubling identity, measured under g's weights."""
+    return (2 * walk_weight(g, rec.conjugate_once) - walk_weight(g, rec.conjugate_twice)) / 2
+
+
+# ---------------------------------------------------------------- detour cycles
 
 
 def test_detour_cycle_k4(k4):
-    bct = block_cut_tree(k4)
-    cycle, first, last = detour_cycle(k4, bct, 0, bct.blocks_at(0)[0])
-    assert cycle == (0, 1, 2, 0)
-    assert first != last
-    assert first == k4.edge_id(0, 1) and last == k4.edge_id(0, 2)
+    """From 0, each walk (0, b) doubles around the cycle through b's two
+    smallest other neighbors."""
+    recs = doublings(k4, 0)
+    assert recs[(0, 1)].cycle == (1, 2, 3, 1)
+    assert recs[(0, 2)].cycle == (2, 1, 3, 2)
+    for rec in recs.values():
+        check_detour(k4, rec)
 
 
 def test_detour_cycle_2k4_far_block(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    far = [b for b in bct.blocks_at(3) if 4 in bct.blocks[b].vertices][0]
-    cycle, first, last = detour_cycle(g_2k4cut, bct, 3, far)
-    assert cycle == (3, 4, 5, 3)
-    assert first != last
+    """Walks from 0 across cut vertex 3 double inside the far K4."""
+    recs = doublings(g_2k4cut, 0)
+    assert recs[(0, 3, 4)].cycle == (4, 5, 6, 4)
+    for rec in recs.values():
+        check_detour(g_2k4cut, rec)
+        if rec.base[-1] in (4, 5, 6):
+            assert set(rec.cycle) <= {3, 4, 5, 6}
 
 
 def test_detour_cycle_excluded_neighbor(k4):
-    bct = block_cut_tree(k4)
-    cycle, _, _ = detour_cycle(k4, bct, 0, bct.blocks_at(0)[0], exclude_neighbor=1)
-    assert 1 not in cycle
-    assert cycle == (0, 2, 3, 0)
+    """From 1, the walk (1, 0) doubles around a cycle at 0 that avoids 1."""
+    rec = doublings(k4, 1)[(1, 0)]
+    assert 1 not in rec.cycle
+    assert rec.cycle == (0, 2, 3, 0)
 
 
 def test_detour_cycle_squares_on_random_graphs():
@@ -91,85 +117,134 @@ def test_detour_cycle_squares_on_random_graphs():
     for _ in range(50):
         n = rng.randint(5, 11)
         g = Graph(n, random_min_deg3_edges(rng, n))
-        bct = block_cut_tree(g)
-        u = rng.randrange(n)
-        block = bct.two_connected_blocks_at(u)[0]
-        cycle, first, last = detour_cycle(g, bct, u, block)
-        assert first != last
-        assert is_valid_nb_walk(g, cycle)
-        assert is_valid_nb_walk(g, concat(cycle, cycle))
+        for rec in doublings(g, rng.randrange(n)).values():
+            check_detour(g, rec)
 
 
-# ------------------------------------------------------- reveal_walk_to_cut
+# ------------------------------------------------------ walks into a cut vertex
 
 
 def test_reveal_walk_case2_2k4cut(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    near = [b for b in bct.blocks_at(3) if 0 in bct.blocks[b].vertices][0]
-    cert = reveal_walk_to_cut(g_2k4cut, bct, 0, (0, 3), 3, near)
-    assert cert.target == (0, 3)
+    """The walk (0, 3) ends at cut vertex 3 on an edge of the near block."""
+    cert = reveal_all(g_2k4cut, 0)[g_2k4cut.edge_id(0, 3)]
     assert verify_certificate(g_2k4cut, cert)
     assert evaluate(g_2k4cut, cert) == g_2k4cut.weight(g_2k4cut.edge_id(0, 3))
     audit_walks(g_2k4cut, cert, 0)
+    rec = doublings(g_2k4cut, 0)[(0, 3)]
+    check_detour(g_2k4cut, rec)
+    assert revealed_value(g_2k4cut, rec) == walk_weight(g_2k4cut, (0, 3))
 
 
 def test_reveal_walk_case1_bridge_arrival(g_bridge):
-    bct = block_cut_tree(g_bridge)
-    far = [b for b in bct.blocks_at(4) if 5 in bct.blocks[b].vertices][0]
-    cert = reveal_walk_to_cut(g_bridge, bct, 0, (0, 3, 4), 4, far)
+    """The walk (0, 3, 4) reaches cut vertex 4 across the bridge and doubles
+    around a detour inside the far K4."""
+    rec = doublings(g_bridge, 0)[(0, 3, 4)]
+    check_detour(g_bridge, rec)
+    assert set(rec.cycle) <= {4, 5, 6, 7}
+    assert revealed_value(g_bridge, rec) == 3 + 7  # w{0,3} + the bridge
+    cert = reveal_all(g_bridge, 0)[g_bridge.edge_id(4, 5)]
     assert verify_certificate(g_bridge, cert)
-    # target is the walk [0,3,4]: w_{0,3} + bridge weight
-    assert evaluate(g_bridge, cert) == 3 + 7
+    assert evaluate(g_bridge, cert) == g_bridge.weight(g_bridge.edge_id(4, 5))
     audit_walks(g_bridge, cert, 0)
-    # case 1 uses a detour inside the far K4: the far block's vertices show up
     used = {v for _, w in cert.terms for v in w}
     assert used & {5, 6, 7}
 
 
 def test_reveal_walk_case1_all_ones_length_identity(g_bridge):
-    bct = block_cut_tree(g_bridge)
     ones = g_bridge.with_weights([1] * g_bridge.edge_count)
-    far = [b for b in bct.blocks_at(4) if 5 in bct.blocks[b].vertices][0]
-    cert = reveal_walk_to_cut(ones, bct, 0, (0, 3, 4), 4, far)
-    assert evaluate(ones, cert) == 2  # the target walk has 2 edges
+    rec = doublings(ones, 0)[(0, 3, 4)]
+    assert revealed_value(ones, rec) == 2  # the target walk has 2 edges
 
 
-def test_reveal_walk_precondition(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    near = [b for b in bct.blocks_at(3) if 0 in bct.blocks[b].vertices][0]
+def test_reveal_walk_precondition(c5):
+    """Below degree 3 no detour cycle exists, and the search says so."""
     with pytest.raises(PreconditionError):
-        reveal_walk_to_cut(g_2k4cut, bct, 0, (0, 1), 1, near)  # 1 not a cut vertex
+        _detour_cycle(c5, 0, 1)
 
 
-# --------------------------------------------------- reveal_walk_to_any_cut
+# --------------------------------------------------- cut vertices on bridges only
 
 
 def test_any_cut_delegates_when_two_connected(g_2k4cut):
-    bct = block_cut_tree(g_2k4cut)
-    near = [b for b in bct.blocks_at(3) if 0 in bct.blocks[b].vertices][0]
-    via_any = reveal_walk_to_any_cut(g_2k4cut, bct, 0, (0, 3), 3)
-    direct = reveal_walk_to_cut(g_2k4cut, bct, 0, (0, 3), 3, near)
-    assert via_any == direct
+    """At a cut vertex with a 2-connected block, the search in the graph
+    without the vertex succeeds: the cycle never passes through it midway."""
+    for rec in doublings(g_2k4cut, 0).values():
+        if rec.base[-1] == 3:
+            assert 3 not in rec.cycle[1:-1]
 
 
 def test_any_cut_all_bridges_center(star_of_k4s):
+    """The center 12 touches only bridges, so its detour comes from the arc
+    search: it passes through 12 midway and through both other K4s."""
     g = star_of_k4s
-    bct = block_cut_tree(g)
-    cert = reveal_walk_to_any_cut(g, bct, 1, (1, 0, 12), 12)
-    assert verify_certificate(g, cert)
+    rec = doublings(g, 1)[(1, 0, 12)]
+    check_detour(g, rec)
+    assert 12 in rec.cycle[1:-1]
+    assert set(rec.cycle) & {4, 5, 6, 7} and set(rec.cycle) & {8, 9, 10, 11}
     expected = g.weight(g.edge_id(0, 1)) + g.weight(g.edge_id(0, 12))
-    assert evaluate(g, cert) == expected
+    assert revealed_value(g, rec) == expected
+    cert = reveal_all(g, 1)[g.edge_id(4, 12)]
+    assert verify_certificate(g, cert)
+    assert evaluate(g, cert) == g.weight(g.edge_id(4, 12))
     audit_walks(g, cert, 1)
-    # the stitched bridge cycle must pass through the two other K4s
-    used = {v for _, w in cert.terms for v in w}
-    assert used & {4, 5, 6, 7} and used & {8, 9, 10, 11}
 
 
 def test_any_cut_all_ones(star_of_k4s):
     ones = star_of_k4s.with_weights([1] * star_of_k4s.edge_count)
-    bct = block_cut_tree(ones)
-    cert = reveal_walk_to_any_cut(ones, bct, 1, (1, 0, 12), 12)
-    assert evaluate(ones, cert) == 2
+    assert revealed_value(ones, doublings(ones, 1)[(1, 0, 12)]) == 2
+
+
+@st.composite
+def gadget_chains(draw):
+    """(graph, start): gadgets glued at shared cut vertices or by bridges,
+    plus hubs, vertices whose three edges are all bridges. At a hub, or
+    where a walk arrives at a vertex whose other neighbors lie on separate
+    sides of it, only the arc search finds a detour."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+
+    def gadget(at=None):
+        """Add a gadget with fresh labels, its vertex 0 merged into `at`."""
+        nonlocal n
+        size, gadget_edges = _GADGETS[draw(st.sampled_from(sorted(_GADGETS)))]
+        fresh = size if at is None else size - 1
+        labels = ([] if at is None else [at]) + list(range(n, n + fresh))
+        n += fresh
+        edges.extend((labels[u], labels[v]) for u, v in gadget_edges)
+        return labels
+
+    gadget()
+    for _ in range(draw(st.integers(1, 5))):
+        anchor = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["merge", "bridge", "hub"]))
+        if kind == "merge":
+            gadget(at=anchor)
+        elif kind == "bridge":
+            edges.append((anchor, gadget()[draw(st.integers(0, 3))]))
+        else:
+            hub = n
+            n += 1
+            edges.append((anchor, hub))
+            for _ in range(2):
+                edges.append((hub, gadget()[draw(st.integers(0, 3))]))
+    g = Graph(n, edges)
+    return g, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(gadget_chains())
+def test_reveal_all_on_gadget_chains(case):
+    g, start = case
+    trace = IdentityTrace()
+    certs = reveal_all(g, start, trace)
+    assert sorted(certs) == list(range(g.edge_count))
+    for cert in certs.values():
+        assert verify_certificate(g, cert)
+        assert cert.target_coefficient == 2
+        assert len(cert.terms) <= 4
+        audit_walks(g, cert, start)
+    for rec in trace.doublings:
+        check_detour(g, rec)
 
 
 # ------------------------------------------------------- far-block reveals

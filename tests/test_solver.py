@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odograph import (
     Graph,
@@ -11,8 +13,10 @@ from odograph import (
     Odometer,
     PreconditionError,
     RankDeficientError,
+    IdentityTrace,
     RevealCertificate,
     build_walk_matrix,
+    edge_multiplicities,
     enumerate_closed_nb_walks,
     extract_minimal_basis,
     flatten,
@@ -21,7 +25,7 @@ from odograph import (
     reveal_all,
     verify_certificate,
 )
-from conftest import k4_referencing_certificate
+from conftest import k4_referencing_certificate, random_closed_nb_walk, random_min_deg3_edges
 
 
 def flat_store(g, start):
@@ -233,3 +237,57 @@ def test_verify_certificate_rejects_edge_terms(k4):
     )
     with pytest.raises(PreconditionError):
         verify_certificate(k4, cert)
+
+
+def dense_verify(g, cert):
+    """Reference check with one dense usage vector per walk."""
+    acc = [0] * g.edge_count
+    for c, w in cert.terms:
+        for e, mult in enumerate(edge_multiplicities(g, w)):
+            acc[e] += c * mult
+    target = cert.target_multiplicities(g)
+    return acc == [cert.target_coefficient * t for t in target]
+
+
+_TAMPERS = ("none", "coefficient", "drop", "extra walk", "target coefficient", "retarget")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(_TAMPERS), st.booleans())
+def test_verify_certificate_matches_dense_reference(seed, tamper, walk_target):
+    """Edge and walk targets, sound or tampered: the sparse check agrees
+    with the dense one, and accepts exactly the untampered certificates."""
+    from dataclasses import replace
+
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    g = Graph(n, random_min_deg3_edges(rng, n))
+    start = rng.randrange(n)
+    if walk_target:
+        trace = IdentityTrace()
+        reveal_all(g, start, trace)
+        rec = rng.choice(trace.doublings)
+        cert = RevealCertificate(
+            target=rec.base,
+            target_coefficient=2,
+            home=start,
+            terms=((2, rec.conjugate_once), (-1, rec.conjugate_twice)),
+        )
+    else:
+        cert = rng.choice(list(reveal_all(g, start).values()))
+    i = rng.randrange(len(cert.terms))
+    c, w = cert.terms[i]
+    if tamper == "coefficient":
+        cert = replace(cert, terms=cert.terms[:i] + ((c + rng.choice((-1, 1)), w),) + cert.terms[i + 1 :])
+    elif tamper == "drop":
+        cert = replace(cert, terms=cert.terms[:i] + cert.terms[i + 1 :])
+    elif tamper == "extra walk":
+        extra = random_closed_nb_walk(rng, g, start)
+        cert = replace(cert, terms=cert.terms + ((rng.choice((-2, -1, 1, 2)), extra),))
+    elif tamper == "target coefficient":
+        cert = replace(cert, target_coefficient=cert.target_coefficient + 1)
+    elif tamper == "retarget" and not walk_target:
+        cert = replace(cert, target=(cert.target + 1) % g.edge_count)
+    elif tamper == "retarget":
+        cert = replace(cert, target=cert.target[:-1])
+    assert verify_certificate(g, cert) == dense_verify(g, cert) == (tamper == "none")
