@@ -124,6 +124,24 @@ def _load(path: str) -> Graph:
     return parse_graph_text(text)
 
 
+def _json(x, indent: str = "\n") -> str:
+    """``json.dumps(x, indent=2)``, byte for byte, for dicts with string
+    keys, lists, tuples and scalars. The standard indenting encoder is pure
+    Python; this one writes a list of ints, such as a walk, in one join."""
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        body = ("," + inner).join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in x.items())
+        return "{" + inner + body + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = map(repr, x) if {*map(type, x)} == {int} else (_json(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return repr(x) if type(x) is int else json.dumps(x)
+
+
 def _fmt_edge(g: Graph, edge_id: int) -> str:
     u, v = g.endpoints(edge_id)
     return f"{{{u},{v}}}"
@@ -200,7 +218,7 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
                 "rank": len(basis),
                 "walks": [list(w) for w in basis],
             }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
         return 0
     for e, cert in certs.items():
         print(
@@ -231,9 +249,12 @@ def cmd_recover(path: str, start: int, transcript_path: str | None) -> int:
             {"walk": list(w), "measurement": str(m)}
             for w, m in zip(basis, measurements)
         ]
-        with open(transcript_path, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(transcript_path, "w", encoding="utf-8") as fh:
+                fh.write(_json(entries) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write '{transcript_path}': {exc.strerror}", file=sys.stderr)
+            return 2
     exact = True
     for e in range(g.edge_count):
         true_w = g.weight(e)

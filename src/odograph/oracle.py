@@ -14,10 +14,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import PreconditionError, RejectedWalkError
+from .errors import InvalidWalkError, PreconditionError, RejectedWalkError
 from .graph import Graph
 from .solver import _Echelon
-from .walks import Walk, edge_multiplicities, is_valid_nb_walk, walk_weight
+from .walks import Walk, _edge_usage, edge_multiplicities
 
 
 class Odometer:
@@ -26,7 +26,9 @@ class Odometer:
     Only closed non-backtracking walks that start and end at the home
     vertex are measurable; anything else is rejected without revealing
     anything about the weights. `query_count` counts successful
-    measurements only: rejected trips never left the lot.
+    measurements only: rejected trips never left the lot. Weights are held
+    as integer numerators over their common denominator, so a reading is
+    one integer sum.
     """
 
     def __init__(self, g: Graph, home: int):
@@ -37,6 +39,8 @@ class Odometer:
         self._g = g
         self._home = home
         self._count = 0
+        self._denom = lcm(*(w.denominator for w in g.weights))
+        self._numer = [w.numerator * (self._denom // w.denominator) for w in g.weights]
 
     @property
     def home(self) -> int:
@@ -55,17 +59,16 @@ class Odometer:
         walk = tuple(w)
         if len(walk) < 2:
             raise RejectedWalkError("rejected: the trip never leaves the home vertex")
-        if not is_valid_nb_walk(self._g, walk):
-            raise RejectedWalkError(
-                "rejected: not a non-backtracking walk on this graph"
-            )
+        try:
+            usage = _edge_usage(self._g, walk)
+        except InvalidWalkError:
+            raise RejectedWalkError("rejected: not a non-backtracking walk on this graph") from None
         if walk[0] != self._home or walk[-1] != self._home:
             raise RejectedWalkError(
                 f"rejected: walk must start and end at home vertex {self._home}"
             )
-        total = walk_weight(self._g, walk)
         self._count += 1
-        return total
+        return Fraction(sum(c * self._numer[e] for e, c in usage.items()), self._denom)
 
 
 def iter_closed_nb_walks(g: Graph, home: int, max_edges: int) -> Iterator[Walk]:

@@ -10,19 +10,11 @@ start vertex is the one place where turning around is permitted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import EndpointMismatchError, InvalidWalkError, JunctionBacktrackError
 from .graph import Graph
 
 Walk = tuple[int, ...]
-
-
-def as_walk(vertices: Iterable[int]) -> Walk:
-    w = tuple(vertices)
-    if not w:
-        raise ValueError("a walk needs at least one vertex")
-    return w
 
 
 def is_closed(w: Walk) -> bool:
@@ -31,20 +23,15 @@ def is_closed(w: Walk) -> bool:
 
 def is_valid_nb_walk(g: Graph, w: Walk) -> bool:
     """Total predicate: vertices in range, edges present, no backtracking."""
-    if len(w) == 0:
+    try:
+        _edge_usage(g, w)
+    except InvalidWalkError:
         return False
-    n = g.vertex_count
-    if any(not (0 <= v < n) for v in w):
-        return False
-    for a, b in zip(w, w[1:]):
-        if not g.has_edge(a, b):
-            return False
-    return all(w[i] != w[i + 2] for i in range(len(w) - 2))
+    return True
 
 
 def require_valid_walk(g: Graph, w: Walk) -> None:
-    if not is_valid_nb_walk(g, w):
-        raise InvalidWalkError(f"not a valid non-backtracking walk: {list(w)}")
+    _edge_usage(g, w)
 
 
 def concat(w1: Walk, w2: Walk) -> Walk:
@@ -68,21 +55,42 @@ def reverse(w: Walk) -> Walk:
     return w[::-1]
 
 
+def _edge_usage(g: Graph, w: Walk) -> dict[int, int]:
+    """How many times the walk uses each edge it uses, as ``{edge id: count}``.
+
+    Raises InvalidWalkError unless w is a valid non-backtracking walk. The
+    check and the count take one pass with one edge lookup per step: a
+    missing edge or an out-of-range vertex fails the lookup, and so does a
+    step straight back along the previous edge.
+    """
+    counts: dict[int, int] = {}
+    back = None
+    try:
+        for a, b in zip(w, w[1:]):
+            if b == back:
+                raise KeyError(b)
+            back = a
+            e = g.edge_id(a, b)
+            counts[e] = counts.get(e, 0) + 1
+    except KeyError:
+        counts = {}
+    # no counts: a failure, or a walk of one vertex, which must be in range
+    if not counts and not (len(w) == 1 and 0 <= w[0] < g.vertex_count):
+        raise InvalidWalkError(f"not a valid non-backtracking walk: {list(w)}")
+    return counts
+
+
 def edge_multiplicities(g: Graph, w: Walk) -> list[int]:
     """How many times the walk uses each edge, indexed by edge id."""
-    require_valid_walk(g, w)
     counts = [0] * g.edge_count
-    for a, b in zip(w, w[1:]):
-        counts[g.edge_id(a, b)] += 1
+    for e, c in _edge_usage(g, w).items():
+        counts[e] = c
     return counts
 
 
 def walk_weight(g: Graph, w: Walk) -> Fraction:
     """Total weight of the walk: the inner product of usage counts and weights."""
-    require_valid_walk(g, w)
+    usage = _edge_usage(g, w)
     if not g.is_weighted:
         raise ValueError("graph has no weights")
-    total = Fraction(0)
-    for a, b in zip(w, w[1:]):
-        total += g.weight(g.edge_id(a, b))
-    return total
+    return sum((c * g.weight(e) for e, c in usage.items()), Fraction(0))

@@ -17,7 +17,7 @@ from odograph import (
     parse_graph_text,
     verify_certificate,
 )
-from odograph.cli import main
+from odograph.cli import _json, main
 from odograph.revealer import RevealCertificate
 
 K4_TEXT = textwrap.dedent(
@@ -378,6 +378,49 @@ def test_recover_transcript(graph_file, tmp_path, capsys):
     meter = Odometer(parse_graph_text(K4_TEXT), 0)
     for entry in entries:
         assert meter.measure(tuple(entry["walk"])) == Fraction(entry["measurement"])
+
+
+@pytest.mark.parametrize("target", ["missing/trips.json", "."])
+def test_recover_unwritable_transcript_is_a_usage_error(graph_file, tmp_path, capsys, target):
+    path = str(tmp_path / target)  # a missing directory, or a directory itself
+    assert main(["recover", graph_file(K4_TEXT), "--oracle-transcript", path]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: cannot write '{re.escape(path)}': [^\n]+\n", captured.err)
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_json_outputs_match_the_standard_encoder(graph_file, tmp_path, capsys):
+    g = graph_file(K4_TEXT.replace("e 1 2 4", "e 1 2 -4/7"))
+    transcript = tmp_path / "trips.json"
+    assert main(["recover", g, "--start", "2", "--oracle-transcript", str(transcript)]) == 0
+    capsys.readouterr()
+    written = transcript.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(written), indent=2) + "\n" == written
+    assert main(["reveal", g, "--start", "1", "--minimal", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+_json_leaves = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.text(st.characters(), max_size=6) | st.sampled_from(['"', "\\", "\u00e9", "\U0001f600", ""]),
+    st.booleans(),
+    st.none(),
+    st.fractions().map(float),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(-9, 9), max_size=5)
+    | st.dictionaries(st.text(max_size=4) | st.just('q"\u00fc'), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
 
 
 def test_recover_not_odometric(graph_file, capsys):

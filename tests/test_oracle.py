@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odograph import (
     Graph,
@@ -14,8 +16,9 @@ from odograph import (
     iter_closed_nb_walks,
     revealable_span,
     span_report,
+    walk_weight,
 )
-from conftest import brute_closed_nb_walks, random_min_deg3_edges
+from conftest import brute_closed_nb_walks, random_closed_nb_walk, random_min_deg3_edges
 
 
 # ---------------------------------------------------------------- odometer
@@ -74,6 +77,44 @@ def test_errors_never_leak_weights():
             meter.measure(bad)
         assert "98245" not in str(info.value)
         assert "98246" not in str(info.value)
+
+
+# large coprime denominators make the common denominator a big integer
+_PRIMES = (1, 2, 3, 1_000_003, 999_999_937, 2**61 - 1, 2**89 - 1)
+_weights = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(_PRIMES)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_readings_equal_walk_weights(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(4, 9))
+    edges = random_min_deg3_edges(rng, n)
+    g = Graph(n, edges, data.draw(st.lists(_weights, min_size=len(edges), max_size=len(edges))))
+    home = data.draw(st.integers(0, n - 1))
+    meter = Odometer(g, home)
+    for i in range(5):
+        walk = random_closed_nb_walk(rng, g, home, max_len=12)
+        stepwise = sum((g.weight(g.edge_id(a, b)) for a, b in zip(walk, walk[1:])), Fraction(0))
+        assert meter.measure(walk) == walk_weight(g, walk) == stepwise
+        assert meter.query_count == i + 1
+    # rejections, in their order: too short (even out of range), invalid
+    # (even with wrong endpoints), then wrong endpoints
+    away = next(v for v in range(n) if v != home)
+    cases = [
+        ((home,), "never leaves"),
+        ((n,), "never leaves"),
+        ((away, g.neighbors(away)[0], away), "not a non-backtracking walk"),
+        ((home, n, home), "not a non-backtracking walk"),
+        (random_closed_nb_walk(rng, g, away, max_len=12), f"home vertex {home}"),
+    ]
+    for walk, message in cases:
+        with pytest.raises(RejectedWalkError, match=message):
+            meter.measure(walk)
+    assert meter.query_count == 5
 
 
 def test_topology_has_no_weights(k4):

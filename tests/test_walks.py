@@ -15,6 +15,7 @@ from odograph import (
     reverse,
     walk_weight,
 )
+from odograph.walks import _edge_usage
 from conftest import random_min_deg3_edges
 import random
 
@@ -174,3 +175,62 @@ def test_reverse_involution_and_multiplicity_identity(data):
     assert walk_weight(gw, w) == sum(
         m * gw.weight(e) for e, m in enumerate(mult)
     )
+
+
+# ------------------------------------------------------------ usage counts
+
+
+def _reference_usage(g, w):
+    """Dense usage counts, checking each validity condition separately:
+    None for an invalid walk."""
+    n = g.vertex_count
+    if not w or any(not (0 <= v < n) for v in w):
+        return None
+    if any(not g.has_edge(a, b) for a, b in zip(w, w[1:])):
+        return None
+    if any(w[i] == w[i + 2] for i in range(len(w) - 2)):
+        return None
+    counts = [0] * g.edge_count
+    for a, b in zip(w, w[1:]):
+        counts[g.edge_id(a, b)] += 1
+    return counts
+
+
+@st.composite
+def graphs_and_vertex_sequences(draw):
+    """A small graph and a vertex sequence: usually a random walk in it,
+    sometimes with one vertex replaced, out of range, negative or repeated
+    two steps back."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    w = [draw(st.integers(0, n - 1))]
+    for _ in range(draw(st.integers(0, 8))):
+        options = [u for u in g.neighbors(w[-1]) if len(w) < 2 or u != w[-2]]
+        if not options:
+            break
+        w.append(draw(st.sampled_from(options)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(w)))
+        w[i:i + 1] = [draw(st.sampled_from([-1, n, 0, n - 1] + w[max(i - 2, 0):i]))]
+    if draw(st.integers(0, 9)) == 0:
+        w = []
+    return g, tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_vertex_sequences())
+def test_edge_usage_matches_reference(case):
+    g, w = case
+    expected = _reference_usage(g, w)
+    assert is_valid_nb_walk(g, w) == (expected is not None)
+    if expected is None:
+        with pytest.raises(InvalidWalkError, match="not a valid non-backtracking walk"):
+            _edge_usage(g, w)
+        with pytest.raises(InvalidWalkError):
+            edge_multiplicities(g, w)
+        return
+    usage = _edge_usage(g, w)
+    assert all(usage.values())
+    assert usage == {e: c for e, c in enumerate(expected) if c}
+    assert edge_multiplicities(g, w) == expected
