@@ -34,27 +34,16 @@ class BlockCutTree:
     Block ids are assigned by the smallest edge id each block contains, so
     the decomposition is stable for a fixed input edge order. The bipartite
     adjacency (block node <-> cut vertex node) is exactly "the cut vertex
-    lies in the block". ``cut_set`` holds ``cut_vertices`` for membership
-    tests.
+    lies in the block".
     """
 
     blocks: tuple[Block, ...]
     cut_vertices: tuple[int, ...]
     block_of_edge: tuple[int, ...]
     blocks_by_vertex: tuple[tuple[int, ...], ...]
-    cut_set: frozenset[int]
 
     def blocks_at(self, v: int) -> tuple[int, ...]:
         return self.blocks_by_vertex[v]
-
-    def cut_vertices_of_block(self, block: int) -> tuple[int, ...]:
-        return tuple(v for v in self.blocks[block].vertices if v in self.cut_set)
-
-    def is_cut_vertex(self, v: int) -> bool:
-        return v in self.cut_set
-
-    def two_connected_blocks_at(self, v: int) -> tuple[int, ...]:
-        return tuple(b for b in self.blocks_by_vertex[v] if not self.blocks[b].is_bridge)
 
     def is_bridge_edge(self, edge_id: int) -> bool:
         return self.blocks[self.block_of_edge[edge_id]].is_bridge
@@ -145,5 +134,4 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         cut_vertices=tuple(sorted(cuts)),
         block_of_edge=tuple(block_of_edge),
         blocks_by_vertex=tuple(tuple(sorted(s)) for s in by_vertex),
-        cut_set=frozenset(cuts),
     )

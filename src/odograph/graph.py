@@ -29,7 +29,7 @@ class Graph:
     duplicate edges, and out-of-range endpoints.
     """
 
-    __slots__ = ("_n", "_edges", "_weights", "_ids", "_incident")
+    __slots__ = ("_n", "_edges", "_weights", "_ids", "_incident", "_neighbors")
 
     def __init__(
         self,
@@ -59,6 +59,7 @@ class Graph:
         self._edges = tuple(normalized)
         self._ids = ids
         self._incident = tuple(tuple(sorted(pairs)) for pairs in incident)
+        self._neighbors = tuple(tuple(u for u, _ in pairs) for pairs in self._incident)
         if weights is None:
             self._weights = None
         else:
@@ -104,7 +105,7 @@ class Graph:
         return self._edges[edge_id]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u, _ in self._incident[v])
+        return self._neighbors[v]
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, edge id) pairs in ascending neighbor order."""

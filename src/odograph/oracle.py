@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidWalkError, PreconditionError, RejectedWalkError
 from .graph import Graph
@@ -136,36 +136,32 @@ def _report(edge_count: int, echelon: _Echelon) -> SpanReport:
     return SpanReport(echelon.rank, tuple(relations))
 
 
-def span_report(g: Graph, walks: Sequence[Walk]) -> SpanReport:
-    """Rank and invisible directions for an explicit collection of walks."""
-    echelon = _Echelon()
-    for vec in {tuple(edge_multiplicities(g, w)): None for w in walks}:
-        echelon.add(vec)
-    return _report(g.edge_count, echelon)
+def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
+    """Rank and invisible directions for a collection of walks.
 
-
-def revealable_span(
-    g: Graph, home: int, max_edges: int, *, stop_at_full_rank: bool = True
-) -> SpanReport:
-    """Span of everything measurable from home within an edge-count cap.
-
-    Enumerates closed non-backtracking walks from home up to max_edges
-    edges and reports the rank of their usage matrix together with the
-    directions no walk can see. With stop_at_full_rank the enumeration
-    aborts as soon as the span provably fills all |E| directions; the
-    reported rank is the same either way, since rank never decreases as
-    walks are added.
+    Each distinct usage vector is eliminated once, in order of first
+    appearance. Walks are read only until the rank reaches |E|; then the
+    span is full, so the report is (|E|, ()) whatever walks follow.
     """
     m = g.edge_count
     echelon = _Echelon()
     seen: set[tuple[int, ...]] = set()
-    for w in iter_closed_nb_walks(g, home, max_edges):
+    for w in walks:
         vec = tuple(edge_multiplicities(g, w))
         if vec in seen:
             continue
         seen.add(vec)
-        if echelon.rank < m:
-            echelon.add(vec)
-        if stop_at_full_rank and echelon.rank == m:
+        echelon.add(vec)
+        if echelon.rank == m:
             return SpanReport(m, ())
     return _report(m, echelon)
+
+
+def revealable_span(g: Graph, home: int, max_edges: int) -> SpanReport:
+    """Span of everything measurable from home within an edge-count cap.
+
+    ``span_report`` over the closed non-backtracking walks from home with
+    at most max_edges edges, enumerated lazily, so the enumeration stops
+    as soon as the span fills all |E| directions.
+    """
+    return span_report(g, iter_closed_nb_walks(g, home, max_edges))

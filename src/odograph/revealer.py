@@ -28,8 +28,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Mapping
 
 from .errors import (
     CyclicDependencyError,
@@ -38,7 +38,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import Graph, is_connected, low_degree_vertices
-from .walks import Walk, concat, edge_multiplicities, is_closed, require_valid_walk, reverse
+from .walks import Walk, _edge_usage, concat, edge_multiplicities, is_closed, reverse
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class RevealCertificate:
     terms: tuple[tuple[int, Walk], ...]
     edge_terms: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def is_edge_target(self) -> bool:
-        return isinstance(self.target, int)
-
     def target_multiplicities(self, g: Graph) -> list[int]:
         if isinstance(self.target, int):
             vec = [0] * g.edge_count
@@ -95,84 +91,9 @@ class IdentityTrace:
     doublings: list[DoublingRecord] = field(default_factory=list)
 
 
-# --- linear forms over closed-walk weights, for flatten ---------------------
-
-
-class _Form:
-    """denom * value == sum(walks[w] * F(w)) + sum(edges[e] * w_e).
-
-    Coefficients are integers, denom is a positive integer, and the whole
-    thing is kept gcd-reduced. ``flatten`` substitutes edge references in
-    this representation; certificates are its frozen rendering.
-    """
-
-    __slots__ = ("denom", "walks", "edges")
-
-    def __init__(self, denom: int, walks: dict[Walk, int], edges: dict[int, int]):
-        self.denom = denom
-        self.walks = walks
-        self.edges = edges
-
-
-def _atom(walk: Walk) -> _Form:
-    return _Form(1, {walk: 1}, {})
-
-
-def _combine(parts: Iterable[tuple[Fraction | int, _Form]]) -> _Form:
-    walk_acc: dict[Walk, Fraction] = {}
-    edge_acc: dict[int, Fraction] = {}
-    for q, form in parts:
-        scale = Fraction(q, form.denom)
-        if not scale:
-            continue
-        for w, a in form.walks.items():
-            walk_acc[w] = walk_acc.get(w, Fraction(0)) + a * scale
-        for e, b in form.edges.items():
-            edge_acc[e] = edge_acc.get(e, Fraction(0)) + b * scale
-    walk_acc = {w: c for w, c in walk_acc.items() if c}
-    edge_acc = {e: c for e, c in edge_acc.items() if c}
-    denom = 1
-    for c in walk_acc.values():
-        denom = lcm(denom, c.denominator)
-    for c in edge_acc.values():
-        denom = lcm(denom, c.denominator)
-    walks = {w: int(c * denom) for w, c in walk_acc.items()}
-    edges = {e: int(c * denom) for e, c in edge_acc.items()}
-    shrink = denom
-    for v in walks.values():
-        shrink = gcd(shrink, v)
-    for v in edges.values():
-        shrink = gcd(shrink, v)
-    if shrink > 1:
-        denom //= shrink
-        walks = {w: v // shrink for w, v in walks.items()}
-        edges = {e: v // shrink for e, v in edges.items()}
-    return _Form(denom, walks, edges)
-
-
-def _form_of(cert: RevealCertificate) -> _Form:
-    return _Form(
-        cert.target_coefficient,
-        {w: c for c, w in cert.terms},
-        {e: d for d, e in cert.edge_terms},
-    )
-
-
 def _term_order(term: tuple[int, Walk]) -> tuple[int, Walk]:
     """Certificate terms are listed shortest walk first, then by vertices."""
     return len(term[1]), term[1]
-
-
-def _freeze(target: int | Walk, home: int, form: _Form) -> RevealCertificate:
-    terms = tuple(sorted(((c, w) for w, c in form.walks.items()), key=_term_order))
-    edge_terms = tuple((d, e) for e, d in sorted(form.edges.items()))
-    return RevealCertificate(
-        target=target,
-        target_coefficient=form.denom,
-        home=home,
-        terms=terms,
-        edge_terms=edge_terms,
-    )
 
 
 # --- moving a closed walk to a neighboring home -----------------------------
@@ -191,7 +112,7 @@ def transfer_neighbor_walk(
     a, b = g.endpoints(f)
     if {a, b} != {home, u}:
         raise PreconditionError(f"edge id {f} does not join {home} and {u}")
-    require_valid_walk(g, w_closed)
+    _edge_usage(g, w_closed)
     if not is_closed(w_closed) or w_closed[0] != u or len(w_closed) < 2:
         raise PreconditionError(f"need a nonempty closed walk at {u}")
     first_is_home = w_closed[1] == home
@@ -336,36 +257,38 @@ def flatten(
 ) -> RevealCertificate:
     """Substitute away edge references using certificates from the store.
 
-    Scales by the referenced certificates' coefficients (via lcm) so all
-    coefficients stay integral. Fails loudly on a missing certificate and
-    on cyclic references. A certificate without edge references, such as
-    every one ``reveal_all`` returns, comes back unchanged.
+    With c*T = sum(k * F(w)) + sum(d * w_e), T is sum((k/c) * F(w)) plus
+    sum(d/c) times each referenced edge's own expansion; each edge is
+    expanded once and repeated terms add up. The result is scaled by the
+    least common denominator, so its coefficients are coprime integers.
+    Fails loudly on a missing certificate and on cyclic references. A
+    certificate without edge references, such as every one ``reveal_all``
+    returns, comes back as it is.
     """
-    resolved: dict[int, _Form] = {}
+    if not cert.edge_terms:
+        return cert
+    expanded: dict[int, dict[Walk, Fraction]] = {}
     in_progress: set[int] = set()
 
-    def resolve(edge: int) -> _Form:
-        if edge in resolved:
-            return resolved[edge]
-        if edge in in_progress:
-            raise CyclicDependencyError(f"edge id {edge} participates in a reference cycle")
-        if edge not in store:
-            raise MissingCertificateError(f"no certificate for edge id {edge}")
-        in_progress.add(edge)
-        form = _substitute(_form_of(store[edge]))
-        in_progress.discard(edge)
-        resolved[edge] = form
-        return form
+    def expand(c: RevealCertificate) -> dict[Walk, Fraction]:
+        combo: dict[Walk, Fraction] = {}
+        for k, w in c.terms:
+            combo[w] = combo.get(w, 0) + Fraction(k, c.target_coefficient)
+        for d, e in c.edge_terms:
+            if e not in expanded:
+                if e in in_progress:
+                    raise CyclicDependencyError(f"edge id {e} participates in a reference cycle")
+                if e not in store:
+                    raise MissingCertificateError(f"no certificate for edge id {e}")
+                in_progress.add(e)
+                expanded[e] = expand(store[e])
+                in_progress.discard(e)
+            q = Fraction(d, c.target_coefficient)
+            for w, p in expanded[e].items():
+                combo[w] = combo.get(w, 0) + q * p
+        return combo
 
-    def _substitute(form: _Form) -> _Form:
-        if not form.edges:
-            return form
-        parts: list[tuple[Fraction, _Form]] = [
-            (Fraction(c, form.denom), _atom(w)) for w, c in form.walks.items()
-        ]
-        for e, d in form.edges.items():
-            parts.append((Fraction(d, form.denom), resolve(e)))
-        return _combine(parts)
-
-    flat = _substitute(_form_of(cert))
-    return _freeze(cert.target, cert.home, flat)
+    combo = {w: q for w, q in expand(cert).items() if q}
+    scale = lcm(*(q.denominator for q in combo.values()))
+    terms = ((q.numerator * (scale // q.denominator), w) for w, q in combo.items())
+    return RevealCertificate(cert.target, scale, cert.home, tuple(sorted(terms, key=_term_order)))

@@ -30,10 +30,6 @@ def is_valid_nb_walk(g: Graph, w: Walk) -> bool:
     return True
 
 
-def require_valid_walk(g: Graph, w: Walk) -> None:
-    _edge_usage(g, w)
-
-
 def concat(w1: Walk, w2: Walk) -> Walk:
     """Join two walks at a shared endpoint.
 

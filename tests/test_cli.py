@@ -546,3 +546,13 @@ def test_readme_reveal_example_matches_a_run(tmp_path, capsys):
     path.write_text(graph, encoding="utf-8")
     assert main(["reveal", str(path), "--minimal"]) == 0
     assert capsys.readouterr().out == shown
+
+
+def test_readme_library_example_runs():
+    """The README's Python block runs as written; its asserts are the check."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["walks"]) == namespace["g"].edge_count == 6
+    assert namespace["meter"].query_count == 6

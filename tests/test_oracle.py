@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,14 +13,22 @@ from odograph import (
     PreconditionError,
     RejectedWalkError,
     SpanReport,
+    build_walk_matrix,
     edge_multiplicities,
     enumerate_closed_nb_walks,
     iter_closed_nb_walks,
+    rational_rank,
+    reveal_all,
     revealable_span,
     span_report,
     walk_weight,
 )
-from conftest import brute_closed_nb_walks, random_closed_nb_walk, random_min_deg3_edges
+from conftest import (
+    brute_closed_nb_walks,
+    random_closed_nb_walk,
+    random_min_deg3_edges,
+    random_sparse_low_degree_edges,
+)
 
 
 # ---------------------------------------------------------------- odometer
@@ -204,8 +214,10 @@ def test_span_k4_full_rank(k4):
 
 
 def test_span_k4_exhaustive_agrees(k4):
-    eager = revealable_span(k4, 0, 12, stop_at_full_rank=False)
-    assert eager.rank == 6 and eager.relations == ()
+    """Stopping at full rank reports what the whole enumeration spans."""
+    walks = enumerate_closed_nb_walks(k4, 0, 12)
+    assert revealable_span(k4, 0, 12) == span_report(k4, walks)
+    assert rational_rank(build_walk_matrix(k4, walks)) == 6
 
 
 def test_span_c5_sees_only_cycle_multiples(c5):
@@ -263,3 +275,81 @@ def test_span_rank_plus_relations_is_edge_count(c5, subdivided_k4):
     for g in (c5, subdivided_k4):
         report = revealable_span(g, 0, 2 * g.edge_count + 3)
         assert report.rank + len(report.relations) == g.edge_count
+
+
+def reference_span(g, walks):
+    """Dense Fraction RREF of every distinct usage vector, with no early
+    stop; one primitive relation per free column f, positive at f and zero
+    at the other free columns."""
+    m = g.edge_count
+    rows = [[Fraction(x) for x in v] for v in {tuple(edge_multiplicities(g, w)): None for w in walks}]
+    pivots = []
+    for col in range(m):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    relations = []
+    for f in (c for c in range(m) if c not in pivots):
+        vec = [Fraction(0)] * m
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        scale = math.lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        shrink = math.gcd(*ints)
+        relations.append(tuple(x // shrink for x in ints))
+    return SpanReport(len(pivots), tuple(relations))
+
+
+def _random_nb_walk(rng, g, u, steps):
+    """A non-backtracking walk of up to `steps` edges from u, open or closed."""
+    walk = [u]
+    for _ in range(steps):
+        options = [y for y in g.neighbors(walk[-1]) if len(walk) < 2 or y != walk[-2]]
+        if not options:
+            break
+        walk.append(rng.choice(options))
+    return tuple(walk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_report_matches_exhaustive_reference(data):
+    """span_report, which stops once the rank reaches |E|, reports what
+    eliminating every distinct usage vector reports, on graphs with and
+    without vertices of degree 1 or 2."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(["low-degree", "min-degree-3", "full-rank-prefix"]))
+    if kind == "low-degree":
+        n = data.draw(st.integers(3, 7))
+        g = Graph(n, random_sparse_low_degree_edges(rng, n, data.draw(st.integers(0, 4))))
+    else:
+        n = data.draw(st.integers(4, 7))
+        g = Graph(n, random_min_deg3_edges(rng, n))
+    home = data.draw(st.integers(0, n - 1))
+    walks = []
+    if kind == "full-rank-prefix":
+        # the certificates' walks span every edge, so the rank is full
+        # after this prefix, and more walks follow it
+        for cert in reveal_all(g, home).values():
+            walks += [w for _, w in cert.terms]
+    cap = data.draw(st.integers(3, 10))
+    enumerated = list(itertools.islice(iter_closed_nb_walks(g, home, cap), 60))
+    walks += rng.sample(enumerated, data.draw(st.integers(0, len(enumerated))))
+    for _ in range(data.draw(st.integers(0, 6))):
+        walk = _random_nb_walk(rng, g, rng.randrange(n), rng.randint(0, 8))
+        walks += [walk] * rng.randint(1, 2)
+    report = span_report(g, walks)
+    assert report == reference_span(g, walks)
+    if kind == "full-rank-prefix":
+        assert report == SpanReport(g.edge_count, ())
+    for rel in report.relations:
+        for w in walks:
+            assert sum(r * c for r, c in zip(rel, edge_multiplicities(g, w))) == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -479,6 +480,38 @@ def test_flatten_no_edge_terms_is_identity(k4):
         target=0, target_coefficient=2, home=0, terms=((2, (0, 1, 2, 0)),)
     )
     assert flatten(cert, {}) == cert
+
+
+def test_flatten_unreferenced_certificate_comes_back_as_it_is(k4):
+    """Unsorted terms are left in their order, not re-sorted."""
+    certs = reveal_all(k4, 0)
+    revealed = certs[k4.edge_id(1, 2)]
+    cert = RevealCertificate(revealed.target, 2, 0, revealed.terms[::-1])
+    assert verify_certificate(k4, cert)
+    assert flatten(cert, certs) == cert
+
+
+def test_flatten_adds_repeated_terms(k4):
+    """2*w{1,2} = F[0,1,2,0] + F[0,1,2,0] - 2*w{0,1} - 2*w{0,2}: the repeated
+    walk and the repeated edge references count with their summed
+    coefficients."""
+    triangle = (0, 1, 2, 0)
+    cert = RevealCertificate(
+        target=k4.edge_id(1, 2),
+        target_coefficient=2,
+        home=0,
+        terms=((1, triangle), (1, triangle)),
+        edge_terms=((-1, k4.edge_id(0, 1)), (-2, k4.edge_id(0, 2)), (-1, k4.edge_id(0, 1))),
+    )
+    assert check_unflattened_identity(k4, cert)
+    certs = reveal_all(k4, 0)
+    flat = flatten(cert, certs)
+    assert not flat.edge_terms
+    assert verify_certificate(k4, flat)
+    assert evaluate(k4, flat) == 4
+    # the same identity, written without repeats, flattens to the same certificate
+    assert flat == flatten(k4_referencing_certificate(k4), certs)
+    assert math.gcd(flat.target_coefficient, *(c for c, _ in flat.terms)) == 1
 
 
 def test_flatten_single_reference_symbolic(k4):
