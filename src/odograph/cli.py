@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .errors import GraphFormatError, NotOdometricError, OdographError
-from .graph import Graph, is_connected, is_odometric, low_degree_vertices
+from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
 from .oracle import Odometer, enumerate_closed_nb_walks, span_report
 from .revealer import reveal_all
 from .solver import extract_minimal_basis, recover_weights
@@ -162,14 +162,6 @@ def _fmt_terms(terms) -> str:
     return " ".join(parts)
 
 
-def _not_odometric_line(g: Graph) -> str:
-    low = low_degree_vertices(g)
-    if low:
-        v = low[0]
-        return f"NOT ODOMETRIC (vertex {v} has degree {g.degree(v)})"
-    return "NOT ODOMETRIC (graph is disconnected)"
-
-
 def cmd_check(path: str) -> int:
     g = _load(path)
     print(f"vertices: {g.vertex_count}")
@@ -180,21 +172,15 @@ def cmd_check(path: str) -> int:
     low = low_degree_vertices(g)
     if low:
         print("low-degree vertices: " + " ".join(str(v) for v in low))
-    if is_odometric(g):
-        print("ODOMETRIC")
-        return 0
-    print(_not_odometric_line(g))
-    return 1
+    defect = odometric_defect(g)
+    if defect is not None:
+        raise defect
+    print("ODOMETRIC")
+    return 0
 
 
 def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
     g = _load(path)
-    if not 0 <= start < g.vertex_count:
-        print(f"error: start vertex {start} out of range", file=sys.stderr)
-        return 2
-    if not is_odometric(g):
-        print(_not_odometric_line(g))
-        return 1
     certs = reveal_all(g, start)
     basis = None
     if minimal:
@@ -233,12 +219,6 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
 
 def cmd_recover(path: str, start: int, transcript_path: str | None) -> int:
     g = _load(path)
-    if not 0 <= start < g.vertex_count:
-        print(f"error: start vertex {start} out of range", file=sys.stderr)
-        return 2
-    if not is_odometric(g):
-        print(_not_odometric_line(g))
-        return 1
     topology = g.without_weights()
     basis = extract_minimal_basis(topology, reveal_all(topology, start))
     odo = Odometer(g, start)
@@ -283,9 +263,6 @@ def _fmt_relation(g: Graph, relation: tuple[int, ...]) -> str:
 
 def cmd_enumerate(path: str, start: int, max_len: int | None, show_list: bool) -> int:
     g = _load(path)
-    if not 0 <= start < g.vertex_count:
-        print(f"error: start vertex {start} out of range", file=sys.stderr)
-        return 2
     cap = max_len if max_len is not None else 2 * g.edge_count + 3
     walks = enumerate_closed_nb_walks(g, start, cap)
     print(f"closed non-backtracking walks from {start} with at most {cap} edges: {len(walks)}")
@@ -359,7 +336,7 @@ def _run(argv: list[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotOdometricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"NOT ODOMETRIC ({exc})")
         return 1
     except OdographError as exc:
         print(f"error: {exc}", file=sys.stderr)

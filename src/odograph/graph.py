@@ -8,8 +8,11 @@ elsewhere in the library is indexed by these ids. Weights, when present, are
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .errors import NotOdometricError
 
 Rational = Fraction
 """Exact scalar type used for all weights and solved values."""
@@ -130,21 +133,32 @@ class Graph:
         return f"Graph({self._n} vertices, {len(self._edges)} edges, {tag})"
 
 
+def bfs_forest(g: Graph, roots: Iterable[int]) -> dict[int, tuple[int, int] | None]:
+    """A breadth-first forest grown from each root, in the given order, that
+    no earlier tree reached.
+
+    Maps every reached vertex, in order of discovery, to its (tree parent,
+    edge id), or to None for a root. Neighbours are visited ascending, so a
+    vertex's tree path from its root is a shortest walk to it, and every
+    caller that grows a tree from the same roots gets the same one.
+    """
+    tree: dict[int, tuple[int, int] | None] = {}
+    for r in roots:
+        if r in tree:
+            continue
+        tree[r] = None
+        queue = deque([r])
+        while queue:
+            v = queue.popleft()
+            for u, e in g.incident(v):
+                if u not in tree:
+                    tree[u] = (v, e)
+                    queue.append(u)
+    return tree
+
+
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    seen = bytearray(g.vertex_count)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
-                stack.append(u)
-    return count == g.vertex_count
+    return g.vertex_count == 0 or len(bfs_forest(g, (0,))) == g.vertex_count
 
 
 def low_degree_vertices(g: Graph) -> tuple[int, ...]:
@@ -152,14 +166,28 @@ def low_degree_vertices(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.vertex_count) if g.degree(v) < 3)
 
 
-def is_odometric(g: Graph) -> bool:
-    """Whether every edge weight is recoverable from any single start vertex.
+def odometric_defect(g: Graph) -> NotOdometricError | None:
+    """Why not every edge weight is recoverable from every start, as the
+    error to raise, or None when the graph is odometric.
 
-    Holds exactly when the graph is connected and every vertex has degree at
-    least 3. A degree-1 edge is never traversed by a closed walk from
-    elsewhere, and the two edges at a degree-2 vertex are only ever traversed
-    together, so both defects are fatal; degree 3 everywhere is also enough.
+    That holds exactly when the graph is connected and every vertex has
+    degree at least 3. A degree-1 edge is never traversed by a closed walk
+    from elsewhere, and the two edges at a degree-2 vertex are only ever
+    traversed together, so both defects are fatal; degree 3 everywhere is
+    also enough. The reason names the smallest vertex of degree below 3, if
+    there is one; otherwise the graph is disconnected, and so is the graph
+    with no vertex.
     """
-    if g.vertex_count == 0:
-        return False
-    return not low_degree_vertices(g) and is_connected(g)
+    low = low_degree_vertices(g)
+    if low:
+        v = low[0]
+        return NotOdometricError(f"vertex {v} has degree {g.degree(v)}", vertex=v)
+    if g.vertex_count == 0 or not is_connected(g):
+        return NotOdometricError("graph is disconnected")
+    return None
+
+
+def is_odometric(g: Graph) -> bool:
+    """Whether every edge weight is recoverable from any single start vertex
+    (see ``odometric_defect``)."""
+    return odometric_defect(g) is None

@@ -78,7 +78,7 @@ def iter_closed_nb_walks(g: Graph, home: int, max_edges: int) -> Iterator[Walk]:
     simple graph the shortest closed non-backtracking walk has 3 edges.
     """
     if not 0 <= home < g.vertex_count:
-        raise PreconditionError(f"vertex {home} out of range")
+        raise PreconditionError(f"start vertex {home} out of range")
     if max_edges < 3:
         return
     walk = [home]

@@ -31,13 +31,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .errors import (
-    CyclicDependencyError,
-    MissingCertificateError,
-    NotOdometricError,
-    PreconditionError,
-)
-from .graph import Graph, is_connected, low_degree_vertices
+from .errors import CyclicDependencyError, MissingCertificateError, PreconditionError
+from .graph import Graph, bfs_forest, odometric_defect
 from .walks import Walk, _edge_usage, concat, edge_multiplicities, is_closed, reverse
 
 
@@ -130,15 +125,10 @@ def transfer_neighbor_walk(
 
 
 def _shortest_walks(g: Graph, start: int) -> dict[int, Walk]:
-    """A shortest walk from start to every vertex, by BFS in neighbor order."""
-    walks: dict[int, Walk] = {start: (start,)}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in walks:
-                walks[u] = walks[v] + (u,)
-                queue.append(u)
+    """A shortest walk from start to every vertex, along ``bfs_forest``."""
+    walks: dict[int, Walk] = {}
+    for v, link in bfs_forest(g, (start,)).items():
+        walks[v] = (v,) if link is None else walks[link[0]] + (v,)
     return walks
 
 
@@ -199,8 +189,9 @@ def reveal_all(
 ) -> dict[int, RevealCertificate]:
     """Reveal every edge of the graph from one start vertex.
 
-    Requires a connected graph of minimum degree 3. For each edge {a,b},
-    with a no farther from the start than b, P is the breadth-first walk
+    Requires a connected graph of minimum degree 3, and raises the error
+    ``graph.odometric_defect`` names otherwise. For each edge {a,b}, with a
+    no farther from the start than b, P is the breadth-first walk
     from the start to a; P.b never backtracks, because a's predecessor on P
     is strictly closer than b. The certificate is w_ab = F(P.b) - F(P),
     with F of the empty walk 0 and each open walk W revealed once by the
@@ -215,14 +206,10 @@ def reveal_all(
     ever combine.
     """
     if not (0 <= start < g.vertex_count):
-        raise PreconditionError(f"start vertex {start} is out of range")
-    low = low_degree_vertices(g)
-    if low:
-        raise NotOdometricError(
-            f"vertex {low[0]} has degree {g.degree(low[0])} < 3", vertex=low[0]
-        )
-    if not is_connected(g):
-        raise NotOdometricError("graph is disconnected")
+        raise PreconditionError(f"start vertex {start} out of range")
+    defect = odometric_defect(g)
+    if defect is not None:
+        raise defect
     paths = _shortest_walks(g, start)
     conjugates: dict[Walk, tuple[Walk, Walk]] = {}
 
@@ -267,28 +254,38 @@ def flatten(
     """
     if not cert.edge_terms:
         return cert
-    expanded: dict[int, dict[Walk, Fraction]] = {}
+    # Depth first without recursion, so a long chain of references cannot
+    # exhaust the stack: a frame is expanded once every edge its certificate
+    # cites is, and the edges on the stack are the ones in progress. The
+    # expansion of cert itself is kept under None.
+    expanded: dict[int | None, dict[Walk, Fraction]] = {}
     in_progress: set[int] = set()
+    stack = [(None, cert, iter(cert.edge_terms))]
+    while stack:
+        e, c, refs = stack[-1]
+        for _, f in refs:
+            if f in expanded:
+                continue
+            if f in in_progress:
+                raise CyclicDependencyError(f"edge id {f} participates in a reference cycle")
+            if f not in store:
+                raise MissingCertificateError(f"no certificate for edge id {f}")
+            in_progress.add(f)
+            stack.append((f, store[f], iter(store[f].edge_terms)))
+            break
+        else:
+            stack.pop()
+            in_progress.discard(e)
+            combo: dict[Walk, Fraction] = {}
+            for k, w in c.terms:
+                combo[w] = combo.get(w, 0) + Fraction(k, c.target_coefficient)
+            for d, f in c.edge_terms:
+                q = Fraction(d, c.target_coefficient)
+                for w, p in expanded[f].items():
+                    combo[w] = combo.get(w, 0) + q * p
+            expanded[e] = {w: q for w, q in combo.items() if q}
 
-    def expand(c: RevealCertificate) -> dict[Walk, Fraction]:
-        combo: dict[Walk, Fraction] = {}
-        for k, w in c.terms:
-            combo[w] = combo.get(w, 0) + Fraction(k, c.target_coefficient)
-        for d, e in c.edge_terms:
-            if e not in expanded:
-                if e in in_progress:
-                    raise CyclicDependencyError(f"edge id {e} participates in a reference cycle")
-                if e not in store:
-                    raise MissingCertificateError(f"no certificate for edge id {e}")
-                in_progress.add(e)
-                expanded[e] = expand(store[e])
-                in_progress.discard(e)
-            q = Fraction(d, c.target_coefficient)
-            for w, p in expanded[e].items():
-                combo[w] = combo.get(w, 0) + q * p
-        return combo
-
-    combo = {w: q for w, q in expand(cert).items() if q}
+    combo = expanded[None]
     scale = lcm(*(q.denominator for q in combo.values()))
     terms = ((q.numerator * (scale // q.denominator), w) for w, q in combo.items())
     return RevealCertificate(cert.target, scale, cert.home, tuple(sorted(terms, key=_term_order)))

@@ -14,10 +14,8 @@ back to edge weights as Fractions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -27,7 +25,7 @@ from .errors import (
     PreconditionError,
     RankDeficientError,
 )
-from .graph import Graph
+from .graph import Graph, bfs_forest
 from .revealer import RevealCertificate
 from .walks import Walk, _edge_usage, edge_multiplicities
 
@@ -94,13 +92,9 @@ class _Echelon:
         d, rhs = rhs.denominator, rhs.numerator
         items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
         v = {j: x * d for j, x in items if x}
-        heap = list(v)
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            a = v.get(c)
-            if a is None:
-                continue
+        while v:
+            c = min(v)
+            a = v[c]
             row = self.rows.get(c)
             if row is None:
                 content = gcd(*v.values(), rhs)
@@ -119,8 +113,6 @@ class _Echelon:
             for j, x in row.items():
                 y = v.get(j, 0) - factor * x
                 if y:
-                    if j not in v:
-                        heappush(heap, j)
                     v[j] = y
                 else:
                     del v[j]
@@ -157,9 +149,9 @@ def rational_rank(m: WalkMatrix) -> int:
 def _potentials(g: Graph, root: int) -> list[tuple[int, int | None]]:
     """Each edge's weight in tree-potential coordinates, by edge id.
 
-    A breadth-first forest grows from root, then from each unreached vertex
-    ascending, visiting neighbours as ``revealer._shortest_walks`` does.
-    Each vertex x with a tree parent p gets a column y_x, the weight of its
+    The tree is ``bfs_forest`` from root, then from every vertex ascending,
+    the tree ``revealer._shortest_walks`` follows from the same start. Each
+    vertex x with a tree parent p gets a column y_x, the weight of its
     tree path, so the tree edge p-x weighs y_x - y_p (y of a root is 0);
     each non-tree edge gets a column of its own. Entry e is (plus, minus):
     edge e weighs column plus less column minus, if minus is not None. The
@@ -168,33 +160,22 @@ def _potentials(g: Graph, root: int) -> list[tuple[int, int | None]]:
     smallest column, starts far from the roots: vertices in reverse order
     of discovery, each followed by its non-tree edges to earlier vertices.
     """
-    found: dict[int, int] = {}  # vertex -> discovery index
-    parent: dict[int, tuple[int, int]] = {}  # vertex -> (tree parent, edge id)
-    for r in (root, *range(g.vertex_count)):
-        if r in found:
-            continue
-        found[r] = len(found)
-        queue = deque([r])
-        while queue:
-            v = queue.popleft()
-            for u, e in g.incident(v):
-                if u not in found:
-                    found[u] = len(found)
-                    parent[u] = (v, e)
-                    queue.append(u)
+    tree = bfs_forest(g, (root, *range(g.vertex_count)))
+    found = {v: i for i, v in enumerate(tree)}  # vertex -> discovery index
     coords: list[tuple[int, int | None]] = [(0, None)] * g.edge_count
     column: dict[int, int] = {}  # vertex -> column of y
     j = 0
     for v in reversed(found):
-        if v in parent:
+        if tree[v] is not None:
             column[v] = j
             j += 1
         for u, e in g.incident(v):
-            if found[u] < found[v] and parent.get(v) != (u, e):
+            if found[u] < found[v] and tree[v] != (u, e):
                 coords[e] = (j, None)
                 j += 1
-    for x, (p, e) in parent.items():
-        coords[e] = (column[x], column.get(p))
+    for x, link in tree.items():
+        if link is not None:
+            coords[link[1]] = (column[x], column.get(link[0]))
     return coords
 
 
@@ -262,10 +243,10 @@ def recover_weights(
     ``_potentials``, rooted at the first walk's start, form one integer row
     with its measurement as rational right-hand side. The rows are
     eliminated exactly and the potentials back substituted and mapped to
-    edge weights. Requires the walks to span all |E| edge directions.
-    Inconsistent measurements are reported for overdetermined systems, and
-    every equation is re-checked in integers over the weights' common
-    denominator.
+    edge weights. Requires the walks to span all |E| edge directions; then
+    every equation is checked against the solution, in integers over the
+    weights' common denominator, and measurements that admit no exact
+    solution are reported.
     """
     if len(walks) != len(measurements):
         raise PreconditionError("walks and measurements must align one to one")
@@ -274,18 +255,12 @@ def recover_weights(
     rhs = [Fraction(b) for b in measurements]
     coords = _potentials(g_topology, walks[0][0]) if walks else []
     echelon = _Echelon()
-    consistent = True
     for usage, b in zip(usages, rhs):
-        residual = echelon.add(_potential_row(coords, usage), b)
-        if residual is not None and residual != 0:
-            consistent = False
+        echelon.add(_potential_row(coords, usage), b)
     if echelon.rank < m:
         raise RankDeficientError(
             f"measuring walks span only {echelon.rank} of {m} directions"
         )
-    if not consistent:
-        raise InconsistentMeasurementsError("measurements admit no exact solution")
-
     x = echelon.back_substitute()
     weights = [x[plus] if minus is None else x[plus] - x[minus] for plus, minus in coords]
     denom = lcm(*(w.denominator for w in weights))

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odograph
 from odograph import (
     GraphFormatError,
     Odometer,
     is_valid_nb_walk,
-    parse_graph_text,
     verify_certificate,
 )
-from odograph.cli import _json, main
+from odograph.cli import _json, main, parse_graph_text
 from odograph.revealer import RevealCertificate
 
 K4_TEXT = textwrap.dedent(
@@ -489,6 +489,44 @@ def test_recover_byte_identical_reruns(graph_file, capsys):
     assert capsys.readouterr().out == first
 
 
+# ----------------------------------------------------------- error contract
+
+_N0_TEXT = "odometry-graph v1\nn 0\n"
+_N1_TEXT = "odometry-graph v1\nn 1\n"
+_C5_LINE = "NOT ODOMETRIC (vertex 0 has degree 2)\n"
+_SPLIT_LINE = "NOT ODOMETRIC (graph is disconnected)\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,extra,rc,out,err",
+    [
+        *(
+            (command, K4_TEXT, ["--start", start], 2, "", f"error: start vertex {start} out of range\n")
+            for command in ("reveal", "recover", "enumerate")
+            for start in ("9", "-1")
+        ),
+        ("reveal", C5_TEXT, [], 1, _C5_LINE, ""),
+        ("recover", C5_TEXT, [], 1, _C5_LINE, ""),
+        ("reveal", TWO_K4S_TEXT, [], 1, _SPLIT_LINE, ""),
+        ("recover", TWO_K4S_TEXT, [], 1, _SPLIT_LINE, ""),
+        ("check", _N0_TEXT, [], 1, "vertices: 0\nedges: 0\nconnected: no\n" + _SPLIT_LINE, ""),
+        (
+            "check", _N1_TEXT, [], 1,
+            "vertices: 1\nedges: 0\nconnected: yes\nminimum degree: 0\n"
+            "low-degree vertices: 0\nNOT ODOMETRIC (vertex 0 has degree 0)\n",
+            "",
+        ),
+        ("reveal", _N0_TEXT, [], 2, "", "error: start vertex 0 out of range\n"),
+        ("reveal", _N1_TEXT, [], 1, "NOT ODOMETRIC (vertex 0 has degree 0)\n", ""),
+    ],
+)
+def test_error_contract_is_exact(graph_file, capsys, command, text, extra, rc, out, err):
+    """Exit code, stdout and stderr of each refusal, byte for byte."""
+    assert main([command, graph_file(text), *extra]) == rc
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 # -------------------------------------------------------------------- usage
 
 
@@ -556,3 +594,8 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), namespace)
     assert len(namespace["walks"]) == namespace["g"].edge_count == 6
     assert namespace["meter"].query_count == 6
+
+
+def test_every_public_name_is_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [n for n in odograph.__all__ if not re.search(rf"\b{re.escape(n)}\b", readme)] == []

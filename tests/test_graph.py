@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from odograph import Graph, is_connected, is_odometric, low_degree_vertices
+from odograph import Graph, is_connected, is_odometric
+from odograph.graph import low_degree_vertices
 
 
 def test_edge_ids_follow_input_order(k4):

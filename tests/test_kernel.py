@@ -17,7 +17,6 @@ from odograph import (
     Graph,
     InconsistentMeasurementsError,
     RankDeficientError,
-    WalkMatrix,
     edge_multiplicities,
     enumerate_closed_nb_walks,
     extract_minimal_basis,
@@ -27,7 +26,7 @@ from odograph import (
     reveal_all,
     span_report,
 )
-from odograph.solver import _Echelon
+from odograph.solver import WalkMatrix, _Echelon
 
 small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 

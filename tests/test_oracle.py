@@ -12,17 +12,16 @@ from odograph import (
     Odometer,
     PreconditionError,
     RejectedWalkError,
-    SpanReport,
     build_walk_matrix,
     edge_multiplicities,
     enumerate_closed_nb_walks,
-    iter_closed_nb_walks,
     rational_rank,
     reveal_all,
     revealable_span,
     span_report,
     walk_weight,
 )
+from odograph.oracle import SpanReport, iter_closed_nb_walks
 from conftest import (
     brute_closed_nb_walks,
     random_closed_nb_walk,

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,17 +14,16 @@ from odograph import (
     PreconditionError,
     RevealCertificate,
     block_cut_tree,
-    concat,
     flatten,
     is_valid_nb_walk,
     reveal_all,
-    reverse,
     transfer_neighbor_walk,
     verify_certificate,
     walk_weight,
 )
 from odograph.errors import CyclicDependencyError, MissingCertificateError
 from odograph.revealer import _detour_cycle
+from odograph.walks import concat, reverse
 from conftest import (
     _GADGETS,
     doublings,
@@ -529,6 +529,28 @@ def test_flatten_whole_store_k4(k4):
         flat = flatten(cert, certs)
         assert not flat.edge_terms
         assert verify_certificate(k4, flat)
+
+
+def test_flatten_a_chain_longer_than_the_recursion_limit():
+    """2*w_i = T_i + 2*w_{i+1} - T_{i+1}, where 2*w_j = T_j is reveal_all's
+    certificate on a prism: each certificate cites the next, deeper than
+    Python may recurse, and the head flattens to its own certificate."""
+    k = sys.getrecursionlimit() // 3 + 50
+    ring = [(i, (i + 1) % k) for i in range(k)]
+    g = Graph(2 * k, ring + [(k + a, k + b) for a, b in ring] + [(i, k + i) for i in range(k)])
+    certs = reveal_all(g, 0)
+    last = g.edge_count - 1
+    chain = {
+        e: RevealCertificate(
+            e, 2, 0, certs[e].terms + tuple((-c, w) for c, w in certs[e + 1].terms), ((2, e + 1),)
+        )
+        for e in range(last)
+    }
+    chain[last] = certs[last]
+    assert len(chain) > sys.getrecursionlimit()
+    flat = flatten(chain[0], chain)
+    assert verify_certificate(g, flat)
+    assert flat == certs[0]
 
 
 def test_flatten_missing_certificate():

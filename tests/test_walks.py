@@ -8,14 +8,11 @@ from odograph import (
     EndpointMismatchError,
     InvalidWalkError,
     JunctionBacktrackError,
-    concat,
     edge_multiplicities,
-    is_closed,
     is_valid_nb_walk,
-    reverse,
     walk_weight,
 )
-from odograph.walks import _edge_usage
+from odograph.walks import _edge_usage, concat, is_closed, reverse
 from conftest import random_min_deg3_edges
 import random
 
