@@ -33,7 +33,7 @@ from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
 from .oracle import Odometer, enumerate_closed_nb_walks, span_report
 from .revealer import reveal_all
-from .solver import extract_minimal_basis, recover_weights
+from .solver import _select_basis, _solve, extract_minimal_basis
 
 _HEADER = "odometry-graph v1"
 # ASCII digits only: str.isdigit and int() also accept other Unicode digits
@@ -220,10 +220,11 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
 def cmd_recover(path: str, start: int, transcript_path: str | None) -> int:
     g = _load(path)
     topology = g.without_weights()
-    basis = extract_minimal_basis(topology, reveal_all(topology, start))
+    # the solve replays this selection's row operations on the readings
+    basis, selection = _select_basis(topology, reveal_all(topology, start))
     odo = Odometer(g, start)
     measurements = [odo.measure(w) for w in basis]
-    recovered = recover_weights(topology, basis, measurements)
+    recovered = _solve(selection, measurements)
     if transcript_path is not None:
         entries = [
             {"walk": list(w), "measurement": str(m)}

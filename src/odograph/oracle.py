@@ -127,10 +127,8 @@ def _report(edge_count: int, echelon: _Echelon) -> SpanReport:
     for f in range(edge_count):
         if f in echelon.rows:
             continue
-        x = echelon.back_substitute({f: 1})
-        vec = [Fraction(x.get(e, 0)) for e in range(edge_count)]
-        scale = lcm(*(v.denominator for v in vec))
-        ints = [int(v * scale) for v in vec]
+        x, _ = echelon.back_substitute({f: 1})
+        ints = [x.get(e, 0) for e in range(edge_count)]
         shrink = gcd(*ints)
         relations.append(tuple(v // shrink for v in ints))
     return SpanReport(echelon.rank, tuple(relations))

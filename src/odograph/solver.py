@@ -4,12 +4,15 @@ A walk matrix has one row per edge (by id) and one column per walk, with
 usage counts as entries. Rank, basis selection, solving and the invisible
 directions of ``oracle.span_report`` all go through one exact elimination
 kernel, ``_Echelon``: it holds each walk's usage counts as a sparse integer
-row, clears each measurement's denominator into its row, eliminates
-fraction-free, and only back substitutes in rationals. Basis selection and
-the solve first rewrite each row in spanning-tree potentials
-(``_potentials``), where the tree path to a closed walk's detour telescopes
-away, so rows stay short however deep the graph; solved potentials map
-back to edge weights as Fractions.
+row, eliminates fraction-free and records the row operations that
+reduced each row it stores; it works in integers throughout. Basis
+selection and the solve first rewrite each row in spanning-tree
+potentials (``_potentials``), where the tree path to a closed walk's
+detour telescopes away, so rows stay short however deep the graph. Each
+row is eliminated once: ``recover_weights`` selects its walks as a basis
+is selected, ``cli`` reuses its basis's selection, and the solve replays
+the recorded row operations on the readings, scaled to integers. Solved
+potentials map back to edge weights as Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     InconsistentMeasurementsError,
@@ -59,81 +62,115 @@ def build_walk_matrix(g: Graph, walks: Sequence[Walk]) -> WalkMatrix:
 
 
 class _Echelon:
-    """Exact incremental row echelon form over sparse integer equations.
+    """Exact incremental row echelon form over sparse integer rows.
 
-    Each stored row is a ``{column: int}`` dict whose pivot is its smallest
-    column, together with an integer right-hand side. A rational right-hand
-    side has its denominator cleared into the row once, on entry; from then
-    on elimination is fraction-free and each stored equation is divided by
-    the gcd of its row and right-hand side. With right-hand side 0, as in
-    rank, basis selection and span relations, no Fraction is ever made, and
-    rows stay primitive because gcd(v, 0) = gcd(v). Only back substitution
-    is rational, with one Fraction made per pivot.
+    Each stored row is a primitive ``{column: int}`` dict whose pivot is its
+    smallest column. Elimination is fraction-free, and each stored row
+    keeps the operations that reduced it, so right-hand sides need not be
+    carried along: ``replay`` later takes integer readings of the stored
+    rows through the same operations. Replay and back substitution stay in
+    integers by scaling up what they have found whenever a division is not
+    exact, and return that scale; no Fraction is made.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
-        self.rhs: dict[int, int] = {}
+        # pivot -> ((pivot, scale, factor) per reduction step, final content)
+        self.steps: dict[int, tuple[list[tuple[int, int, int]], int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, vec: Mapping[int, int] | Sequence[int], rhs: Fraction | int = 0) -> int | None:
-        """Reduce the equation ``vec · x = rhs`` against the stored rows.
+    def add(self, vec: Mapping[int, int] | Sequence[int]) -> bool:
+        """Reduce vec against the stored rows; store it if it is independent.
 
         vec is a sparse ``{column: coefficient}`` mapping, such as a walk's
-        ``walks._edge_usage``, or a dense row indexed by column. Returns None
-        if vec is independent of the stored rows, and stores it. Otherwise
-        returns the residual right-hand side, an integer multiple of the
-        true residual, which is zero exactly when the equation is consistent
-        with the stored ones.
+        ``walks._edge_usage``, or a dense row indexed by column. Each step
+        v <- scale * v - factor * rows[pivot] clears v's smallest column, and
+        a row left nonzero is divided by its content and stored, with its
+        steps. Returns whether vec was stored.
         """
-        d, rhs = rhs.denominator, rhs.numerator
         items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-        v = {j: x * d for j, x in items if x}
+        v = {j: x for j, x in items if x}
+        steps: list[tuple[int, int, int]] = []
         while v:
             c = min(v)
             a = v[c]
             row = self.rows.get(c)
             if row is None:
-                content = gcd(*v.values(), rhs)
+                content = gcd(*v.values())
                 if content > 1:
                     v = {j: x // content for j, x in v.items()}
-                    rhs //= content
                 self.rows[c] = v
-                self.rhs[c] = rhs
-                return None
+                self.steps[c] = (steps, content)
+                return True
             g = gcd(a, row[c])
             scale, factor = row[c] // g, a // g
             if scale != 1:
                 for j in v:
                     v[j] *= scale
-                rhs *= scale
             for j, x in row.items():
                 y = v.get(j, 0) - factor * x
                 if y:
                     v[j] = y
                 else:
                     del v[j]
-            rhs -= factor * self.rhs[c]
-        return rhs
+            steps.append((c, scale, factor))
+        return False
 
-    def back_substitute(self, fixed: Mapping[int, int] = {}) -> dict[int, Fraction | int]:
-        """A solution of every stored row, as ``{column: value}``.
+    def replay(self, readings: Sequence[int]) -> tuple[dict[int, int], int]:
+        """Right-hand sides of the stored rows, from integer readings.
 
-        Non-pivot columns take their value from fixed, or zero; each pivot
-        column is then solved for, from the largest pivot down, summing the
-        known terms in integers over their common denominator.
+        readings[i] is the right-hand side of the i-th row stored, as it was
+        added; it goes through that row's steps, using the right-hand sides
+        already found, and is divided by the row's content. Where that
+        division is not exact, every reading is scaled up by the missing
+        factor, which scales every right-hand side found so far by it too,
+        so all of them stay integers. Returns ``{pivot: right-hand side}``
+        and the total scale t: the right-hand sides are those of the
+        readings times t.
         """
-        x: dict[int, Fraction | int] = dict(fixed)
+        rhs: dict[int, int] = {}
+        t = 1
+        for (c, (steps, content)), b in zip(self.steps.items(), readings):
+            b *= t
+            for p, scale, factor in steps:
+                b = b * scale - factor * rhs[p]
+            if b % content:
+                s = content // gcd(b, content)
+                t *= s
+                b *= s
+                for p in rhs:
+                    rhs[p] *= s
+            rhs[c] = b // content
+        return rhs, t
+
+    def back_substitute(
+        self, fixed: Mapping[int, int] = {}, rhs: Mapping[int, int] = {}
+    ) -> tuple[dict[int, int], int]:
+        """A solution of every stored row, as integers over a denominator.
+
+        Row c equals rhs[c], or zero. Non-pivot columns take their value
+        from fixed, or zero; each pivot column is then solved for, from the
+        largest pivot down. Where a pivot does not divide, every value found
+        so far is scaled up by the missing factor, as ``replay`` does.
+        Returns ``({column: value}, s)``: the solution is each value over s.
+        """
+        x = dict(fixed)
+        s = 1
         for c in sorted(self.rows, reverse=True):
             row = self.rows[c]
-            known = [(a, x[j]) for j, a in row.items() if j != c and x.get(j)]
-            den = lcm(*(v.denominator for _, v in known))
-            acc = self.rhs[c] * den - sum(a * v.numerator * (den // v.denominator) for a, v in known)
-            x[c] = Fraction(acc, den * row[c])
-        return x
+            p = row[c]
+            acc = rhs.get(c, 0) * s - sum(a * x.get(j, 0) for j, a in row.items())
+            if acc % p:
+                k = abs(p) // gcd(acc, p)
+                s *= k
+                acc *= k
+                for j in x:
+                    x[j] *= k
+            x[c] = acc // p
+        return x, s
 
 
 def rational_rank(m: WalkMatrix) -> int:
@@ -206,32 +243,87 @@ def _pool_certificate_walks(certs: Mapping[int, RevealCertificate]) -> list[Walk
     return pool
 
 
+class _Selection(NamedTuple):
+    """Walks picked greedily for independence, and what the solve reuses."""
+
+    picks: list[int]  # index of each chosen walk among the walks offered
+    usages: list[dict[int, int]]  # each chosen walk's ``walks._edge_usage``
+    coords: list[tuple[int, int | None]]  # ``_potentials`` from the first walk's start
+    echelon: _Echelon  # the chosen rows, stored in order, with their steps
+
+
+def _select(g: Graph, walks: Sequence[Walk], what: str) -> _Selection:
+    """Pick, in order, each walk whose row grows the rank, up to |E| of them.
+
+    Rows are eliminated in the tree-potential coordinates of ``_potentials``
+    rooted at the first walk's start; the map is invertible, so the greedy
+    choice is the one edge coordinates would make. Walks are read only
+    until the rank reaches |E|. Fewer than |E| independent walks is a
+    RankDeficientError, worded with what the walks are.
+    """
+    m = g.edge_count
+    coords: list[tuple[int, int | None]] = []
+    echelon = _Echelon()
+    picks: list[int] = []
+    usages: list[dict[int, int]] = []
+    for i, w in enumerate(walks):
+        if echelon.rank == m:
+            break
+        usage = _edge_usage(g, w)
+        if not i:
+            coords = _potentials(g, w[0])
+        if echelon.add(_potential_row(coords, usage)):
+            picks.append(i)
+            usages.append(usage)
+    if echelon.rank < m:
+        raise RankDeficientError(f"{what} span only {echelon.rank} of {m} directions")
+    return _Selection(picks, usages, coords, echelon)
+
+
+def _select_basis(g: Graph, certs: Mapping[int, RevealCertificate]) -> tuple[list[Walk], _Selection]:
+    """The minimal basis of ``extract_minimal_basis`` and its selection."""
+    pool = _pool_certificate_walks(certs)
+    selection = _select(g, pool, "certificate walks")
+    return [pool[i] for i in selection.picks], selection
+
+
+def _solve(
+    selection: _Selection,
+    readings: Sequence[Fraction],
+    others: Sequence[tuple[Mapping[int, int], Fraction]] = (),
+) -> dict[int, Fraction]:
+    """Edge weights from the readings of the chosen walks, in order.
+
+    All readings are scaled to integers over their common denominator D.
+    The chosen ones are replayed through the operations that reduced their
+    rows, and the potentials back substituted, each of which may scale the
+    integers up further, by t and by s. The potentials map to integer edge
+    weights D * t * s times too large; every equation, the chosen walks'
+    and the others' ``(usage, reading)``, is checked against those, and
+    readings that admit no exact solution are reported.
+    """
+    equations = [(u, Fraction(b)) for u, b in (*zip(selection.usages, readings), *others)]
+    d = lcm(*(b.denominator for _, b in equations))
+    scaled = [b.numerator * (d // b.denominator) for _, b in equations]
+    rhs, t = selection.echelon.replay(scaled[: len(selection.usages)])
+    x, s = selection.echelon.back_substitute(rhs=rhs)
+    weights = [x[plus] if minus is None else x[plus] - x[minus] for plus, minus in selection.coords]
+    for (usage, _), r in zip(equations, scaled):
+        if sum(c * weights[e] for e, c in usage.items()) != r * t * s:
+            raise InconsistentMeasurementsError("measurements admit no exact solution")
+    denom = d * t * s
+    return {e: Fraction(w, denom) for e, w in enumerate(weights)}
+
+
 def extract_minimal_basis(g: Graph, certs: Mapping[int, RevealCertificate]) -> list[Walk]:
     """Greedily select |E| independent walks from flattened certificates.
 
-    The pool is every certificate walk in edge-id order; columns that do not
-    grow the rank are skipped. The result always has exactly |E| walks of
-    full rank, or the pool is genuinely rank deficient and that is an error.
-    Rows are eliminated in the tree-potential coordinates of ``_potentials``
-    rooted at the first pool walk's start; the map is invertible, so the
-    greedy choice is the one edge coordinates would make.
+    The pool is every certificate walk in edge-id order; walks that do not
+    grow the rank are skipped, and the pool is read only until the rank
+    reaches |E|. The result always has exactly |E| walks of full rank, or
+    the pool is genuinely rank deficient and that is an error.
     """
-    m = g.edge_count
-    pool = _pool_certificate_walks(certs)
-    usages = [_edge_usage(g, w) for w in pool]
-    coords = _potentials(g, pool[0][0]) if pool else []
-    echelon = _Echelon()
-    chosen: list[Walk] = []
-    for w, usage in zip(pool, usages):
-        if len(chosen) == m:
-            break
-        if echelon.add(_potential_row(coords, usage)) is None:
-            chosen.append(w)
-    if len(chosen) < m:
-        raise RankDeficientError(
-            f"certificate walks span only {len(chosen)} of {m} directions"
-        )
-    return chosen
+    return _select_basis(g, certs)[0]
 
 
 def recover_weights(
@@ -239,36 +331,23 @@ def recover_weights(
 ) -> dict[int, Fraction]:
     """Solve for all edge weights from measured walk weights, exactly.
 
-    Each walk's usage counts in the tree-potential coordinates of
-    ``_potentials``, rooted at the first walk's start, form one integer row
-    with its measurement as rational right-hand side. The rows are
-    eliminated exactly and the potentials back substituted and mapped to
-    edge weights. Requires the walks to span all |E| edge directions; then
-    every equation is checked against the solution, in integers over the
-    weights' common denominator, and measurements that admit no exact
-    solution are reported.
+    The walks are selected as a basis is (``_select``): the first |E| whose
+    tree-potential rows are independent, or a RankDeficientError if the
+    walks span fewer directions. Their measurements are replayed through
+    the selection's row operations and back substituted, and then every
+    equation, chosen or not, is checked against the solution in integers;
+    measurements that admit no exact solution are reported.
     """
     if len(walks) != len(measurements):
         raise PreconditionError("walks and measurements must align one to one")
-    m = g_topology.edge_count
-    usages = [_edge_usage(g_topology, w) for w in walks]
-    rhs = [Fraction(b) for b in measurements]
-    coords = _potentials(g_topology, walks[0][0]) if walks else []
-    echelon = _Echelon()
-    for usage, b in zip(usages, rhs):
-        echelon.add(_potential_row(coords, usage), b)
-    if echelon.rank < m:
-        raise RankDeficientError(
-            f"measuring walks span only {echelon.rank} of {m} directions"
-        )
-    x = echelon.back_substitute()
-    weights = [x[plus] if minus is None else x[plus] - x[minus] for plus, minus in coords]
-    denom = lcm(*(w.denominator for w in weights))
-    numer = [w.numerator * (denom // w.denominator) for w in weights]
-    for usage, b in zip(usages, rhs):
-        if sum(c * numer[e] for e, c in usage.items()) * b.denominator != b.numerator * denom:
-            raise InconsistentMeasurementsError("measurements admit no exact solution")
-    return dict(enumerate(weights))
+    selection = _select(g_topology, walks, "measuring walks")
+    chosen = set(selection.picks)
+    others = [
+        (_edge_usage(g_topology, w), b)
+        for i, (w, b) in enumerate(zip(walks, measurements))
+        if i not in chosen
+    ]
+    return _solve(selection, [measurements[i] for i in selection.picks], others)
 
 
 def verify_certificate(g: Graph, cert: RevealCertificate) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,11 +16,16 @@ import odograph
 from odograph import (
     GraphFormatError,
     Odometer,
+    extract_minimal_basis,
     is_valid_nb_walk,
+    recover_weights,
+    reveal_all,
     verify_certificate,
 )
 from odograph.cli import _json, main, parse_graph_text
 from odograph.revealer import RevealCertificate
+
+from test_acceptance import _graph_text
 
 K4_TEXT = textwrap.dedent(
     """\
@@ -378,6 +385,68 @@ def test_recover_transcript(graph_file, tmp_path, capsys):
     meter = Odometer(parse_graph_text(K4_TEXT), 0)
     for entry in entries:
         assert meter.measure(tuple(entry["walk"])) == Fraction(entry["measurement"])
+
+
+# the basis and readings of recover --start 2 on K4_TEXT, as the transcript
+# has always written them
+K4_FROM_2_TRANSCRIPT = [
+    ([2, 0, 1, 3, 0, 2], "13"),
+    ([2, 0, 1, 2, 3, 1, 0, 2], "21"),
+    ([2, 0, 1, 3, 0, 1, 3, 0, 2], "22"),
+    ([2, 0, 1, 2, 3, 1, 2, 3, 1, 0, 2], "36"),
+    ([2, 0, 3, 1, 2, 3, 0, 2], "25"),
+    ([2, 1, 0, 3, 1, 2], "17"),
+]
+
+
+def test_recover_transcript_bytes_on_k4_from_2(graph_file, tmp_path, capsys):
+    transcript = tmp_path / "trips.json"
+    argv = ["recover", graph_file(K4_TEXT), "--start", "2", "--oracle-transcript", str(transcript)]
+    assert main(argv) == 0
+    entries = [{"walk": w, "measurement": m} for w, m in K4_FROM_2_TRANSCRIPT]
+    assert transcript.read_bytes() == (json.dumps(entries, indent=2) + "\n").encode()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["queries: 6", "EXACT MATCH"]
+
+
+_RECOVERED_RE = re.compile(r"edge \{(\d+),(\d+)\}: recovered (\S+), true (\S+)")
+
+
+@pytest.mark.parametrize(
+    "name", ["k4", "petersen", "g_2k4cut", "g_bridge", "star_of_k4s", "chain3_k4s", "h_bridge"]
+)
+def test_recover_solves_from_its_own_basis_selection(name, request, tmp_path):
+    """recover solves from the selection that chose its basis, not through
+    recover_weights; from every start, what it prints must be exactly
+    recover_weights on the basis and readings it wrote, and the true
+    weights."""
+    topology = request.getfixturevalue(name).without_weights()
+    path, transcript = tmp_path / "g.graph", tmp_path / "trips.json"
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                    min_size=topology.edge_count, max_size=topology.edge_count))
+    def check(weights):
+        g = odograph.Graph(topology.vertex_count, topology.edges, weights)
+        path.write_text(_graph_text(g), encoding="utf-8")
+        for start in range(g.vertex_count):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = main(["recover", str(path), "--start", str(start),
+                           "--oracle-transcript", str(transcript)])
+            assert rc == 0
+            entries = json.loads(transcript.read_text(encoding="utf-8"))
+            basis = [tuple(e["walk"]) for e in entries]
+            readings = [Fraction(e["measurement"]) for e in entries]
+            assert basis == extract_minimal_basis(topology, reveal_all(topology, start))
+            expected = recover_weights(topology, basis, readings)
+            printed = [_RECOVERED_RE.fullmatch(line).groups()
+                       for line in out.getvalue().splitlines()[: g.edge_count]]
+            assert [(int(u), int(v)) for u, v, _, _ in printed] == list(g.edges)
+            assert [Fraction(got) for _, _, got, _ in printed] == [expected[e] for e in range(g.edge_count)]
+            assert [Fraction(got) for _, _, got, _ in printed] == list(weights)
+
+    check()
 
 
 @pytest.mark.parametrize("target", ["missing/trips.json", "."])

@@ -9,6 +9,7 @@ any walks, closed or open, starting anywhere.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -65,21 +66,26 @@ def _reference_basis(g, pool):
     for w in pool:
         if len(chosen) == g.edge_count:
             break
-        if echelon.add(edge_multiplicities(g, w)) is None:
+        if echelon.add(edge_multiplicities(g, w)):
             chosen.append(w)
     return chosen
 
 
 def _reference_solve(g, walks, measured):
-    """Elimination in edge coordinates: rank first, then consistency."""
+    """Elimination of every walk in edge coordinates, the independent
+    walks' readings replayed; rank first, then consistency, checked by
+    measuring each walk on the solution."""
     echelon = _Echelon()
-    residuals = [echelon.add(edge_multiplicities(g, w), b) for w, b in zip(walks, measured)]
+    chosen = [b for w, b in zip(walks, measured) if echelon.add(edge_multiplicities(g, w))]
     if echelon.rank < g.edge_count:
         raise RankDeficientError
-    if any(r is not None and r != 0 for r in residuals):
+    d = lcm(*(b.denominator for b in measured))
+    rhs, t = echelon.replay([int(b * d) for b in chosen])
+    x, s = echelon.back_substitute(rhs=rhs)
+    weights = [Fraction(x[e], d * t * s) for e in range(g.edge_count)]
+    if any(_measure(g, w, weights) != b for w, b in zip(walks, measured)):
         raise InconsistentMeasurementsError
-    x = echelon.back_substitute()
-    return {e: x[e] for e in range(g.edge_count)}
+    return dict(enumerate(weights))
 
 
 def _measure(g, w, weights):
@@ -130,7 +136,7 @@ def test_potentials_are_an_invertible_change_of_coordinates(system, data):
     echelon = _Echelon()
     for plus, minus in coords:
         assert minus is None or plus < minus  # a child's column precedes its parent's
-        assert echelon.add({plus: 1} if minus is None else {plus: 1, minus: -1}) is None
+        assert echelon.add({plus: 1} if minus is None else {plus: 1, minus: -1})
     assert echelon.rank == g.edge_count
 
 
