@@ -4,8 +4,11 @@ The Odometer simulates the only instrument the problem allows: it answers
 the total weight of a closed non-backtracking walk submitted from its home
 vertex, and counts how many measurements were taken. The enumerator walks
 every closed non-backtracking walk from a vertex up to an edge-count cap,
-which gives an independent way to check what is and is not recoverable on
-small graphs.
+pruning steps too far from home to close in time; the span report skips
+reverses of walks it read and, once the span's orthogonal complement is
+small, keeps a basis of it: a walk lies in the span iff it is orthogonal
+to that basis, an exact integer test. Together they give an independent
+way to check what is and is not recoverable on small graphs.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidWalkError, PreconditionError, RejectedWalkError
-from .graph import Graph
+from .graph import Graph, bfs_forest
 from .solver import _Echelon
-from .walks import Walk, _edge_usage, edge_multiplicities
+from .walks import Walk, _edge_usage
 
 
 class Odometer:
@@ -75,28 +78,31 @@ def iter_closed_nb_walks(g: Graph, home: int, max_edges: int) -> Iterator[Walk]:
     """Yield every closed non-backtracking walk from home, lexicographically.
 
     Walks use at most max_edges edges. The empty walk is not produced; in a
-    simple graph the shortest closed non-backtracking walk has 3 edges.
+    simple graph the shortest closed non-backtracking walk has 3 edges. A
+    step to y is not taken when the edges used so far plus y's breadth-first
+    distance home exceed the cap: no walk through it can close in time, so
+    the walks yielded, and their order, are those of the unpruned search.
     """
     if not 0 <= home < g.vertex_count:
         raise PreconditionError(f"start vertex {home} out of range")
     if max_edges < 3:
         return
+    dist: dict[int, int] = {}
+    for v, link in bfs_forest(g, (home,)).items():
+        dist[v] = 0 if link is None else dist[link[0]] + 1
     walk = [home]
     iters = [iter(g.neighbors(home))]
     while iters:
-        moved = False
         for y in iters[-1]:
-            if len(walk) >= 2 and y == walk[-2]:
+            # len(walk) is the edge count once y is stepped to
+            if len(walk) + dist[y] > max_edges or (len(walk) >= 2 and y == walk[-2]):
                 continue
             walk.append(y)
             if y == home and len(walk) >= 4:
                 yield tuple(walk)
-            if len(walk) - 1 < max_edges:
-                iters.append(iter(g.neighbors(y)))
-                moved = True
-                break
-            walk.pop()
-        if not moved:
+            iters.append(iter(g.neighbors(y)))
+            break
+        else:
             iters.pop()
             walk.pop()
 
@@ -137,19 +143,45 @@ def _report(edge_count: int, echelon: _Echelon) -> SpanReport:
 def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
     """Rank and invisible directions for a collection of walks.
 
-    Each distinct usage vector is eliminated once, in order of first
-    appearance. Walks are read only until the rank reaches |E|; then the
-    span is full, so the report is (|E|, ()) whatever walks follow.
+    Each walk is read once as sparse usage counts; a walk whose reverse was
+    already read uses every edge as often, and is skipped. Once a walk is
+    dependent while the |E| - rank relations of ``_report`` hold no more
+    entries than the stored rows, those relations are kept as a basis of the
+    span's orthogonal complement: a later walk lies in the span exactly when
+    its integer dot product with each is zero, and is then skipped.
+    Otherwise it is stored, and one elimination step on a relation it breaks
+    keeps the rest a basis. Walks are read only until the rank reaches |E|;
+    then the report is (|E|, ()) whatever walks follow.
     """
     m = g.edge_count
     echelon = _Echelon()
-    seen: set[tuple[int, ...]] = set()
+    read: set[Walk] = set()
+    stored = 0  # entries in the echelon's rows
+    complement: list[Sequence[int]] | None = None
     for w in walks:
-        vec = tuple(edge_multiplicities(g, w))
-        if vec in seen:
+        w = tuple(w)
+        if w[::-1] in read:
             continue
-        seen.add(vec)
-        echelon.add(vec)
+        read.add(w)
+        usage = _edge_usage(g, w)
+        if complement is None:
+            if echelon.add(usage):
+                stored += len(next(reversed(echelon.rows.values())))
+            elif (m - echelon.rank) * m <= stored:
+                complement = list(_report(m, echelon).relations)
+        else:
+            dots = [sum(c * r[e] for e, c in usage.items()) for r in complement]
+            p = next((i for i, d in enumerate(dots) if d), None)
+            if p is None:
+                continue
+            echelon.add(usage)
+            pivot, a = complement.pop(p), dots.pop(p)
+            for i, d in enumerate(dots):
+                if d:
+                    k = gcd(a, d)
+                    v = [a // k * x - d // k * y for x, y in zip(complement[i], pivot)]
+                    k = gcd(*v)
+                    complement[i] = [x // k for x in v]
         if echelon.rank == m:
             return SpanReport(m, ())
     return _report(m, echelon)

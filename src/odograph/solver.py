@@ -3,16 +3,17 @@
 A walk matrix has one row per edge (by id) and one column per walk, with
 usage counts as entries. Rank, basis selection, solving and the invisible
 directions of ``oracle.span_report`` all go through one exact elimination
-kernel, ``_Echelon``: it holds each walk's usage counts as a sparse integer
-row, eliminates fraction-free and records the row operations that
-reduced each row it stores; it works in integers throughout. Basis
-selection and the solve first rewrite each row in spanning-tree
-potentials (``_potentials``), where the tree path to a closed walk's
-detour telescopes away, so rows stay short however deep the graph. Each
-row is eliminated once: ``recover_weights`` selects its walks as a basis
-is selected, ``cli`` reuses its basis's selection, and the solve replays
-the recorded row operations on the readings, scaled to integers. Solved
-potentials map back to edge weights as Fractions.
+kernel, ``_Echelon``, though ``span_report`` tests most dependent walks
+against the relations it derives rather than eliminating them. It holds
+each walk's usage counts as a sparse integer row, eliminates fraction-free
+and records the row operations that reduced each row it stores; it works
+in integers throughout. Basis selection and the solve first rewrite each
+row in spanning-tree potentials (``_potentials``), where the tree path to
+a closed walk's detour telescopes away, so rows stay short however deep
+the graph. Each row is eliminated once: ``recover_weights`` selects its
+walks as a basis is selected, ``cli`` reuses its basis's selection, and
+the solve replays the recorded row operations on the readings, scaled to
+integers. Solved potentials map back to edge weights as Fractions.
 """
 
 from __future__ import annotations

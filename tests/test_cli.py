@@ -655,6 +655,19 @@ def test_readme_reveal_example_matches_a_run(tmp_path, capsys):
     assert capsys.readouterr().out == shown
 
 
+def test_readme_enumerate_example_matches_a_run(tmp_path, capsys):
+    """The README's `enumerate sk4.graph` block, on the subdivided K4 it
+    describes, byte for byte: the canonical relation form is pinned."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, flags=re.S | re.M)
+    command = "$ odograph enumerate sk4.graph\n"
+    shown = next(b for b in blocks if b.startswith(command))[len(command):]
+    path = tmp_path / "sk4.graph"
+    path.write_text(SUBDIV_K4_TEXT, encoding="utf-8")
+    assert main(["enumerate", str(path)]) == 0
+    assert capsys.readouterr().out == shown
+
+
 def test_readme_library_example_runs():
     """The README's Python block runs as written; its asserts are the check."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

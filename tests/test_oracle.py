@@ -15,13 +15,16 @@ from odograph import (
     build_walk_matrix,
     edge_multiplicities,
     enumerate_closed_nb_walks,
+    extract_minimal_basis,
     rational_rank,
     reveal_all,
     revealable_span,
     span_report,
     walk_weight,
 )
-from odograph.oracle import SpanReport, iter_closed_nb_walks
+import odograph.oracle
+from odograph.oracle import SpanReport, _report, iter_closed_nb_walks
+from odograph.solver import _Echelon, _pool_certificate_walks
 from conftest import (
     brute_closed_nb_walks,
     random_closed_nb_walk,
@@ -204,6 +207,53 @@ def test_enumerate_lengths_within_cap(petersen):
         assert w[0] == w[-1] == 0
 
 
+def unpruned_closed_walks(g, home, max_edges):
+    """Depth-first search over every non-backtracking walk from home of at
+    most max_edges edges, neighbours in ``g.neighbors`` order, keeping the
+    closed ones of 3 or more edges; nothing is pruned."""
+    found = []
+
+    def grow(walk):
+        if len(walk) >= 4 and walk[-1] == home:
+            found.append(tuple(walk))
+        if len(walk) > max_edges:
+            return
+        for y in g.neighbors(walk[-1]):
+            if len(walk) < 2 or y != walk[-2]:
+                grow(walk + [y])
+
+    grow([home])
+    return found
+
+
+# K4 on 0..3, a triangle on 4..6 and an isolated vertex 7
+_DISCONNECTED = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+_TREE = Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+
+
+@pytest.mark.parametrize("name", ["k4", "petersen", "c5", "subdivided_k4", "tree", "disconnected"])
+def test_pruned_enumeration_equals_unpruned_search(name, request):
+    """Pruning steps too far from home changes neither the walks nor their
+    order, from every start at every cap from 0 to 12."""
+    g = {"tree": _TREE, "disconnected": _DISCONNECTED}.get(name) or request.getfixturevalue(name)
+    for home in range(g.vertex_count):
+        for cap in range(13):
+            assert list(iter_closed_nb_walks(g, home, cap)) == unpruned_closed_walks(g, home, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pruned_enumeration_equals_unpruned_search_on_random_graphs(data):
+    # at most 6 * 5**6 walks to search: K7 at cap 7
+    n = data.draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    g = Graph(n, edges)
+    home = data.draw(st.integers(0, n - 1))
+    cap = data.draw(st.integers(0, 7))
+    assert list(iter_closed_nb_walks(g, home, cap)) == unpruned_closed_walks(g, home, cap)
+
+
 # ---------------------------------------------------------- span reporting
 
 
@@ -352,3 +402,86 @@ def test_span_report_matches_exhaustive_reference(data):
     for rel in report.relations:
         for w in walks:
             assert sum(r * c for r, c in zip(rel, edge_multiplicities(g, w))) == 0
+
+
+def span_report_before(g, walks):
+    """The span loop before walks were tested against the complement: each
+    distinct dense usage vector eliminated once, in order of first
+    appearance, until the rank reaches |E|."""
+    m = g.edge_count
+    echelon = _Echelon()
+    seen = set()
+    for w in walks:
+        vec = tuple(edge_multiplicities(g, w))
+        if vec in seen:
+            continue
+        seen.add(vec)
+        echelon.add(vec)
+        if echelon.rank == m:
+            return SpanReport(m, ())
+    return _report(m, echelon)
+
+
+@pytest.fixture
+def report_calls(monkeypatch):
+    """How often ``span_report`` derives relations; more than once at the
+    end means it built the complement."""
+    calls = []
+
+    def counted(m, echelon):
+        calls.append(echelon.rank)
+        return _report(m, echelon)
+
+    monkeypatch.setattr(odograph.oracle, "_report", counted)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_report_matches_the_dense_loop(data):
+    """The reverse skip and the complement test report what eliminating
+    every distinct usage vector reports, on collections with reversed,
+    repeated and list-typed walks, open ones among them."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(3, 7))
+        g = Graph(n, random_sparse_low_degree_edges(rng, n, data.draw(st.integers(0, 4))))
+    else:
+        n = data.draw(st.integers(4, 7))
+        g = Graph(n, random_min_deg3_edges(rng, n))
+    home = data.draw(st.integers(0, n - 1))
+    cap = data.draw(st.integers(3, 10))
+    enumerated = list(itertools.islice(iter_closed_nb_walks(g, home, cap), 80))
+    walks = rng.sample(enumerated, data.draw(st.integers(0, len(enumerated))))
+    for _ in range(data.draw(st.integers(0, 6))):
+        walks.append(_random_nb_walk(rng, g, rng.randrange(n), rng.randint(0, 8)))
+    walks += [w[::-1] for w in rng.sample(walks, len(walks) // 2)]
+    walks += rng.sample(walks, len(walks) // 3)
+    rng.shuffle(walks)
+    walks = [list(w) if rng.random() < 0.3 else w for w in walks]
+    assert span_report(g, walks) == span_report_before(g, [tuple(w) for w in walks])
+
+
+def test_span_report_builds_the_complement_on_a_tall_input(subdivided_k4, report_calls):
+    walks = enumerate_closed_nb_walks(subdivided_k4, 0, 12)
+    report = span_report(subdivided_k4, walks)
+    assert len(report_calls) > 1
+    assert report == span_report_before(subdivided_k4, walks)
+    assert report == SpanReport(6, ((0, 0, 0, 0, 0, -1, 1),))
+
+
+@pytest.mark.parametrize("basis_first", [True, False])
+def test_span_report_on_a_full_rank_certificate_pool(basis_first, report_calls):
+    """Certificate walks on random m = 254. With the minimal basis first,
+    after repeats of its first walks, the only dependent walks come while
+    the complement would be larger than the stored rows, so it is never
+    built; in edge-id order, dependent walks near full rank build it."""
+    g = Graph(150, random_min_deg3_edges(random.Random(1), 150))
+    certs = reveal_all(g, 0)
+    walks = _pool_certificate_walks(certs)
+    if basis_first:
+        basis = extract_minimal_basis(g, certs)
+        walks = basis[:20] + [list(w) for w in basis[:20]] + basis + walks
+    report = span_report(g, walks)
+    assert (report_calls == []) == basis_first
+    assert report == span_report_before(g, [tuple(w) for w in walks]) == SpanReport(254, ())
