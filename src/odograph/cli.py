@@ -13,11 +13,19 @@ Graph files look like:
     e 2 3 6
 
 Weights are integers or p/q rationals. A vertex count above 2|E| + 1 is a
-parse error, because some vertex would have no edge, and so is a file
-that is not valid UTF-8. Exit codes: 0
+parse error, because some vertex would have no edge, and so are a file
+that is not valid UTF-8 and a number past Python's int-string digit
+limit. Exit codes: 0
 success/affirmative, 1 domain-negative (not odometric, recovery mismatch),
-2 usage or parse error, or stdout closed early. Output ordering is
-deterministic, so identical invocations produce byte-identical output.
+2 usage or parse error, a transcript that cannot be written, or stdout
+closed early. Output ordering is deterministic, so identical invocations
+produce byte-identical output.
+
+``reveal --format json`` and the ``recover --oracle-transcript`` file are
+written straight from the certificates, basis and readings by fixed
+templates of their two schemas (see the README), one join per walk, and
+are byte for byte what ``json.dumps(payload, indent=2)`` writes for the
+same lists and dicts.
 """
 
 from __future__ import annotations
@@ -39,7 +47,18 @@ _HEADER = "odometry-graph v1"
 # ASCII digits only: str.isdigit and int() also accept other Unicode digits
 _COUNT_RE = re.compile(r"[0-9]+")
 _INDEX_RE = re.compile(r"[+-]?[0-9]+")
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _int(numeral: str, lineno: int) -> int:
+    try:
+        return int(numeral)
+    except ValueError:  # a checked numeral fails only on the int-string digit limit
+        digits = len(numeral.lstrip("+-"))
+        raise GraphFormatError(
+            f"number of {digits} digits exceeds the {sys.get_int_max_str_digits()}-digit limit",
+            lineno,
+        ) from None
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -65,7 +84,7 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphFormatError("repeated vertex-count line", lineno)
             if len(fields) != 2 or not _COUNT_RE.fullmatch(fields[1]):
                 raise GraphFormatError("expected 'n <vertex_count>'", lineno)
-            vertex_count = int(fields[1])
+            vertex_count = _int(fields[1], lineno)
             count_line = lineno
         elif fields[0] == "e":
             if vertex_count is None:
@@ -74,7 +93,7 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphFormatError("expected 'e <u> <v> <weight>'", lineno)
             if not (_INDEX_RE.fullmatch(fields[1]) and _INDEX_RE.fullmatch(fields[2])):
                 raise GraphFormatError("vertex indices must be integers", lineno)
-            u, v = int(fields[1]), int(fields[2])
+            u, v = _int(fields[1], lineno), _int(fields[2], lineno)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphFormatError(
                     f"vertex index out of range 0..{vertex_count - 1}", lineno
@@ -85,14 +104,15 @@ def parse_graph_text(text: str) -> Graph:
             if key in seen:
                 raise GraphFormatError(f"duplicate edge {{{key[0]},{key[1]}}}", lineno)
             seen.add(key)
-            if not _RATIONAL_RE.fullmatch(fields[3]):
+            rational = _RATIONAL_RE.fullmatch(fields[3])
+            if not rational:
                 raise GraphFormatError(f"malformed weight '{fields[3]}'", lineno)
-            try:
-                w = Fraction(fields[3])
-            except ZeroDivisionError:
-                raise GraphFormatError("weight has zero denominator", lineno) from None
+            numerator, denominator = rational.groups()
+            denominator = _int(denominator or "1", lineno)
+            if not denominator:
+                raise GraphFormatError("weight has zero denominator", lineno)
             edges.append(key)
-            weights.append(w)
+            weights.append(Fraction(_int(numerator, lineno), denominator))
         else:
             raise GraphFormatError(f"unknown directive '{fields[0]}'", lineno)
     if not header_done:
@@ -124,22 +144,61 @@ def _load(path: str) -> Graph:
     return parse_graph_text(text)
 
 
-def _json(x, indent: str = "\n") -> str:
-    """``json.dumps(x, indent=2)``, byte for byte, for dicts with string
-    keys, lists, tuples and scalars. The standard indenting encoder is pure
-    Python; this one writes a list of ints, such as a walk, in one join."""
-    inner = indent + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        body = ("," + inner).join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in x.items())
-        return "{" + inner + body + indent + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        items = map(repr, x) if {*map(type, x)} == {int} else (_json(v, inner) for v in x)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return repr(x) if type(x) is int else json.dumps(x)
+def _array(items: list[str], indent: str) -> str:
+    """Written JSON items as one array, laid out as ``json.dumps(..., indent=2)``
+    lays out an array whose closing bracket sits at indent."""
+    if not items:
+        return "[]"
+    return "[" + indent + "  " + ("," + indent + "  ").join(items) + indent + "]"
+
+
+def _reveal_json(g: Graph, start: int, certs, basis) -> str:
+    """``json.dumps(payload, indent=2)`` of reveal's JSON schema, byte for
+    byte; each walk is one join over the graph's vertex numerals."""
+    name = [str(v) for v in range(g.vertex_count)].__getitem__
+    certificates = []
+    for e, cert in certs.items():
+        u, v = g.endpoints(e)
+        terms = [
+            f'{{\n          "c": {c},\n          "walk": [\n            '
+            + ",\n            ".join(map(name, w))
+            + "\n          ]\n        }"
+            for c, w in cert.terms
+        ]
+        certificates.append(
+            f'{{\n      "edge": [\n        {u},\n        {v}\n      ],\n      "edge_id": {e},'
+            f'\n      "c_e": {cert.target_coefficient},\n      "terms": '
+            + _array(terms, "\n      ")
+            + "\n    }"
+        )
+    text = (
+        f'{{\n  "start": {start},\n  "edge_count": {g.edge_count},\n  "certificates": '
+        + _array(certificates, "\n  ")
+    )
+    if basis is not None:
+        walks = ["[\n        " + ",\n        ".join(map(name, w)) + "\n      ]" for w in basis]
+        text += (
+            f',\n  "minimal_basis": {{\n    "rank": {len(basis)},\n    "walks": '
+            + _array(walks, "\n    ")
+            + "\n  }"
+        )
+    return text + "\n}"
+
+
+def _transcript_json(g: Graph, basis, measurements) -> str:
+    """``json.dumps(entries, indent=2)`` of the recover transcript, byte for
+    byte. A reading with more digits than the int-string limit raises
+    ValueError."""
+    name = [str(v) for v in range(g.vertex_count)].__getitem__
+    entries = [
+        '{\n    "walk": [\n      '
+        + ",\n      ".join(map(name, w))
+        + '\n    ],\n    "measurement": '
+        + json.dumps(str(m))
+        + "\n  }"
+        for w, m in zip(basis, measurements)
+    ]
+    return _array(entries, "\n")
 
 
 def _fmt_edge(g: Graph, edge_id: int) -> str:
@@ -186,25 +245,7 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
     if minimal:
         basis = extract_minimal_basis(g, certs)
     if fmt == "json":
-        payload: dict = {
-            "start": start,
-            "edge_count": g.edge_count,
-            "certificates": [
-                {
-                    "edge": list(g.endpoints(e)),
-                    "edge_id": e,
-                    "c_e": cert.target_coefficient,
-                    "terms": [{"c": c, "walk": list(w)} for c, w in cert.terms],
-                }
-                for e, cert in certs.items()
-            ],
-        }
-        if basis is not None:
-            payload["minimal_basis"] = {
-                "rank": len(basis),
-                "walks": [list(w) for w in basis],
-            }
-        print(_json(payload))
+        print(_reveal_json(g, start, certs, basis))
         return 0
     for e, cert in certs.items():
         print(
@@ -226,13 +267,18 @@ def cmd_recover(path: str, start: int, transcript_path: str | None) -> int:
     measurements = [odo.measure(w) for w in basis]
     recovered = _solve(selection, measurements)
     if transcript_path is not None:
-        entries = [
-            {"walk": list(w), "measurement": str(m)}
-            for w, m in zip(basis, measurements)
-        ]
+        try:
+            text = _transcript_json(g, basis, measurements)
+        except ValueError:  # str() of an int past the int-string digit limit
+            print(
+                f"error: cannot write '{transcript_path}': a reading exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit",
+                file=sys.stderr,
+            )
+            return 2
         try:
             with open(transcript_path, "w", encoding="utf-8") as fh:
-                fh.write(_json(entries) + "\n")
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"error: cannot write '{transcript_path}': {exc.strerror}", file=sys.stderr)
             return 2

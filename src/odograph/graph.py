@@ -19,6 +19,8 @@ Rational = Fraction
 
 
 def _as_rational(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise ValueError("floating point weights are not accepted; use a rational")
     return Fraction(value)
@@ -126,7 +128,12 @@ class Graph:
         return Graph(self._n, self._edges, weights)
 
     def without_weights(self) -> "Graph":
-        return Graph(self._n, self._edges, None)
+        # the tables are never mutated after construction, so they are shared
+        bare = object.__new__(Graph)
+        bare._n, bare._edges, bare._ids = self._n, self._edges, self._ids
+        bare._incident, bare._neighbors = self._incident, self._neighbors
+        bare._weights = None
+        return bare
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "weighted" if self.is_weighted else "topology"

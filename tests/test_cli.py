@@ -22,9 +22,10 @@ from odograph import (
     reveal_all,
     verify_certificate,
 )
-from odograph.cli import _json, main, parse_graph_text
+from odograph.cli import main, parse_graph_text
 from odograph.revealer import RevealCertificate
 
+from conftest import random_min_deg3_edges, random_weights
 from test_acceptance import _graph_text
 
 K4_TEXT = textwrap.dedent(
@@ -470,26 +471,54 @@ def test_json_outputs_match_the_standard_encoder(graph_file, tmp_path, capsys):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
-_json_leaves = st.one_of(
-    st.integers(-(2**70), 2**70),
-    st.text(st.characters(), max_size=6) | st.sampled_from(['"', "\\", "\u00e9", "\U0001f600", ""]),
-    st.booleans(),
-    st.none(),
-    st.fractions().map(float),
-)
-_json_values = st.recursive(
-    _json_leaves,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(st.integers(-9, 9), max_size=5)
-    | st.dictionaries(st.text(max_size=4) | st.just('q"\u00fc'), inner, max_size=4),
-    max_leaves=20,
-)
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, out.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_json_values)
-def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2)
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(4, 9))
+def test_json_writer_matches_json_dumps(tmp_path_factory, rng, n):
+    """reveal --format json, with and without --minimal, and the recover
+    transcript are json.dumps(payload, indent=2) plus a newline, byte for
+    byte, with payload the lists and dicts of the documented schemas built
+    from the library's own certificates, basis and readings; from every
+    start of a small random min-degree-3 graph with rational weights."""
+    edges = random_min_deg3_edges(rng, n)
+    g = odograph.Graph(n, edges, random_weights(rng, len(edges)))
+    topology = g.without_weights()
+    path = tmp_path_factory.getbasetemp() / "writer.graph"
+    transcript = tmp_path_factory.getbasetemp() / "writer.json"
+    path.write_text(_graph_text(g), encoding="utf-8")
+    for start in range(n):
+        certs = reveal_all(g, start)
+        payload: dict = {
+            "start": start,
+            "edge_count": g.edge_count,
+            "certificates": [
+                {
+                    "edge": list(g.endpoints(e)),
+                    "edge_id": e,
+                    "c_e": cert.target_coefficient,
+                    "terms": [{"c": c, "walk": list(w)} for c, w in cert.terms],
+                }
+                for e, cert in certs.items()
+            ],
+        }
+        reveal = ["reveal", str(path), "--start", str(start), "--format", "json"]
+        assert _run(reveal) == (0, json.dumps(payload, indent=2) + "\n")
+        basis = extract_minimal_basis(g, certs)
+        payload["minimal_basis"] = {"rank": len(basis), "walks": [list(w) for w in basis]}
+        assert _run([*reveal, "--minimal"]) == (0, json.dumps(payload, indent=2) + "\n")
+
+        basis = extract_minimal_basis(topology, reveal_all(topology, start))
+        meter = Odometer(g, start)
+        entries = [{"walk": list(w), "measurement": str(meter.measure(w))} for w in basis]
+        rc, _ = _run(["recover", str(path), "--start", str(start), "--oracle-transcript", str(transcript)])
+        assert rc == 0
+        assert transcript.read_bytes() == (json.dumps(entries, indent=2) + "\n").encode()
 
 
 def test_recover_not_odometric(graph_file, capsys):
@@ -564,6 +593,21 @@ _N0_TEXT = "odometry-graph v1\nn 0\n"
 _N1_TEXT = "odometry-graph v1\nn 1\n"
 _C5_LINE = "NOT ODOMETRIC (vertex 0 has degree 2)\n"
 _SPLIT_LINE = "NOT ODOMETRIC (graph is disconnected)\n"
+# numerals past Python's default int-string limit of 4,300 digits, and six
+# weights at it
+_LONG_WEIGHT_TEXT = K4_TEXT.replace("e 0 1 1", "e 0 1 " + "7" * 5000)
+_LONG_COUNT_TEXT = K4_TEXT.replace("n 4", "n " + "0" * 4400 + "4")
+_LONG_INDEX_TEXT = K4_TEXT.replace("e 1 3 5", "e " + "0" * 4400 + "1 3 5")
+_LIMIT_WEIGHTS_TEXT = re.sub(r"(?m)^(e \d \d) \d$", r"\1 " + "9" * 4300, K4_TEXT)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Pin Python's int-string digit limit at its default for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.parametrize(
@@ -594,6 +638,38 @@ def test_error_contract_is_exact(graph_file, capsys, command, text, extra, rc, o
     assert main([command, graph_file(text), *extra]) == rc
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+@pytest.mark.parametrize("command", ["check", "reveal", "recover", "enumerate"])
+@pytest.mark.parametrize(
+    "text,line,digits",
+    [(_LONG_WEIGHT_TEXT, 4, 5000), (_LONG_COUNT_TEXT, 3, 4401), (_LONG_INDEX_TEXT, 8, 4401)],
+    ids=["weight", "vertex-count", "vertex-index"],
+)
+@pytest.mark.usefixtures("int_digit_limit")
+def test_numeral_past_the_int_string_limit_is_a_parse_error(graph_file, capsys, command, text, line, digits):
+    assert main([command, graph_file(text)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: line {line}: number of {digits} digits exceeds the 4300-digit limit\n"
+    )
+
+
+@pytest.mark.usefixtures("int_digit_limit")
+def test_reading_past_the_int_string_limit_is_an_error(graph_file, tmp_path, capsys):
+    """Six 4,300-digit weights parse, and recover solves them, but a reading
+    sums at least three, too long to write in the transcript."""
+    path = graph_file(_LIMIT_WEIGHTS_TEXT)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out.endswith("ODOMETRIC\n")
+    transcript = tmp_path / "trips.json"
+    assert main(["recover", path, "--oracle-transcript", str(transcript)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write '{transcript}': a reading exceeds the 4300-digit limit\n"
+    assert not transcript.exists()
+    assert main(["recover", path]) == 0
+    assert capsys.readouterr().out.endswith("queries: 6\nEXACT MATCH\n")
 
 
 # -------------------------------------------------------------------- usage
