@@ -1,4 +1,4 @@
-"""Command-line interface: check, reveal, recover, enumerate.
+r"""Command-line interface: check, reveal, recover, enumerate.
 
 Graph files look like:
 
@@ -12,14 +12,19 @@ Graph files look like:
     e 1 3 5
     e 2 3 6
 
-Weights are integers or p/q rationals. A vertex count above 2|E| + 1 is a
+Weights are integers or p/q rationals. Lines end at ``\n``, ``\r\n`` or a
+lone ``\r``, and at nothing else, so a form feed or other Unicode break
+inside a comment stays in the comment. A vertex count above 2|E| + 1 is a
 parse error, because some vertex would have no edge, and so are a file
 that is not valid UTF-8 and a number past Python's int-string digit
-limit. Exit codes: 0
-success/affirmative, 1 domain-negative (not odometric, recovery mismatch),
-2 usage or parse error, a transcript that cannot be written, or stdout
-closed early. Output ordering is deterministic, so identical invocations
-produce byte-identical output.
+limit.
+
+``_run`` loads the graph file once and hands the parsed Graph and the
+parsed arguments to the handler its subcommand names; it alone turns
+errors into exit codes: 0 success/affirmative, 1 domain-negative (not
+odometric, recovery mismatch), 2 usage or parse error, a transcript that
+cannot be written, or stdout closed early. Output ordering is
+deterministic, so identical invocations produce byte-identical output.
 
 ``reveal --format json`` and the ``recover --oracle-transcript`` file are
 written straight from the certificates, basis and readings by fixed
@@ -39,11 +44,13 @@ from fractions import Fraction
 
 from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
-from .oracle import Odometer, enumerate_closed_nb_walks, span_report
+from .oracle import Odometer, enumerate_closed_nb_walks, one_per_reversal, span_report
 from .revealer import reveal_all
 from .solver import _select_basis, _solve, extract_minimal_basis
 
 _HEADER = "odometry-graph v1"
+# the only line ends; str.splitlines also breaks at \f, \x85, U+2028 and more
+_LINE_END = re.compile(r"\r\n?|\n")
 # ASCII digits only: str.isdigit and int() also accept other Unicode digits
 _COUNT_RE = re.compile(r"[0-9]+")
 _INDEX_RE = re.compile(r"[+-]?[0-9]+")
@@ -69,7 +76,7 @@ def parse_graph_text(text: str) -> Graph:
     weights: list[Fraction] = []
     seen: set[tuple[int, int]] = set()
     header_done = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -139,7 +146,7 @@ def _load(path: str) -> Graph:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = len(_LINE_END.split(data[: exc.start].decode("utf-8")))
         raise GraphFormatError("file is not valid UTF-8 text", lineno) from None
     return parse_graph_text(text)
 
@@ -210,19 +217,14 @@ def _fmt_walk(w) -> str:
     return "[" + ",".join(str(v) for v in w) + "]"
 
 
-def _fmt_terms(terms) -> str:
-    parts: list[str] = []
-    for c, w in terms:
-        mag = f"{abs(c)}*F{_fmt_walk(w)}"
-        if not parts:
-            parts.append(mag if c > 0 else "-" + mag)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + mag)
-    return " ".join(parts)
+def _signed_sum(terms) -> str:
+    """``a - b + c`` from (coefficient, unsigned term) pairs, leaving out
+    zero coefficients; the first term's sign is unspaced, and + is dropped."""
+    text = " ".join(("- " if c < 0 else "+ ") + term for c, term in terms if c)
+    return ("-" if text.startswith("-") else "") + text[2:]
 
 
-def cmd_check(path: str) -> int:
-    g = _load(path)
+def cmd_check(g: Graph, args: argparse.Namespace) -> int:
     print(f"vertices: {g.vertex_count}")
     print(f"edges: {g.edge_count}")
     print(f"connected: {'yes' if g.vertex_count and is_connected(g) else 'no'}")
@@ -238,19 +240,15 @@ def cmd_check(path: str) -> int:
     return 0
 
 
-def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
-    g = _load(path)
-    certs = reveal_all(g, start)
-    basis = None
-    if minimal:
-        basis = extract_minimal_basis(g, certs)
-    if fmt == "json":
-        print(_reveal_json(g, start, certs, basis))
+def cmd_reveal(g: Graph, args: argparse.Namespace) -> int:
+    certs = reveal_all(g, args.start)
+    basis = extract_minimal_basis(g, certs) if args.minimal else None
+    if args.format == "json":
+        print(_reveal_json(g, args.start, certs, basis))
         return 0
     for e, cert in certs.items():
-        print(
-            f"edge {_fmt_edge(g, e)}: {cert.target_coefficient}*w = {_fmt_terms(cert.terms)}"
-        )
+        terms = _signed_sum((c, f"{abs(c)}*F{_fmt_walk(w)}") for c, w in cert.terms)
+        print(f"edge {_fmt_edge(g, e)}: {cert.target_coefficient}*w = {terms}")
     if basis is not None:
         print(f"minimal basis: {len(basis)} walks, rank {len(basis)}")
         for i, w in enumerate(basis):
@@ -258,12 +256,12 @@ def cmd_reveal(path: str, start: int, minimal: bool, fmt: str) -> int:
     return 0
 
 
-def cmd_recover(path: str, start: int, transcript_path: str | None) -> int:
-    g = _load(path)
+def cmd_recover(g: Graph, args: argparse.Namespace) -> int:
+    transcript_path = args.oracle_transcript
     topology = g.without_weights()
     # the solve replays this selection's row operations on the readings
-    basis, selection = _select_basis(topology, reveal_all(topology, start))
-    odo = Odometer(g, start)
+    basis, selection = _select_basis(topology, reveal_all(topology, args.start))
+    odo = Odometer(g, args.start)
     measurements = [odo.measure(w) for w in basis]
     recovered = _solve(selection, measurements)
     if transcript_path is not None:
@@ -282,49 +280,32 @@ def cmd_recover(path: str, start: int, transcript_path: str | None) -> int:
         except OSError as exc:
             print(f"error: cannot write '{transcript_path}': {exc.strerror}", file=sys.stderr)
             return 2
-    exact = True
     for e in range(g.edge_count):
-        true_w = g.weight(e)
-        got = recovered[e]
-        if got != true_w:
-            exact = False
-        print(f"edge {_fmt_edge(g, e)}: recovered {got}, true {true_w}")
+        print(f"edge {_fmt_edge(g, e)}: recovered {recovered[e]}, true {g.weight(e)}")
+    exact = all(recovered[e] == g.weight(e) for e in range(g.edge_count))
     print(f"queries: {odo.query_count}")
     print("EXACT MATCH" if exact else "MISMATCH")
     return 0 if exact else 1
 
 
-def _fmt_relation(g: Graph, relation: tuple[int, ...]) -> str:
-    parts: list[str] = []
-    for e, c in enumerate(relation):
-        if not c:
-            continue
-        mag = f"{abs(c)}*" if abs(c) != 1 else ""
-        sym = f"{mag}w{_fmt_edge(g, e)}"
-        if not parts:
-            parts.append(sym if c > 0 else "-" + sym)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + sym)
-    return " ".join(parts)
-
-
-def cmd_enumerate(path: str, start: int, max_len: int | None, show_list: bool) -> int:
-    g = _load(path)
-    cap = max_len if max_len is not None else 2 * g.edge_count + 3
-    walks = enumerate_closed_nb_walks(g, start, cap)
-    print(f"closed non-backtracking walks from {start} with at most {cap} edges: {len(walks)}")
-    if show_list:
+def cmd_enumerate(g: Graph, args: argparse.Namespace) -> int:
+    cap = args.max_len if args.max_len is not None else 2 * g.edge_count + 3
+    walks = enumerate_closed_nb_walks(g, args.start, cap)
+    print(f"closed non-backtracking walks from {args.start} with at most {cap} edges: {len(walks)}")
+    if args.list:
         for w in walks:
             print(f"  {_fmt_walk(w)}")
-    report = span_report(g, walks)
+    report = span_report(g, one_per_reversal(walks))
     print(f"edges: {g.edge_count}")
     full = " (full)" if report.rank == g.edge_count else ""
     print(f"rank: {report.rank} of {g.edge_count}{full}")
     if report.rank < g.edge_count:
-        missing = g.edge_count - report.rank
-        print(f"rank deficient: {missing} undetermined direction(s)")
+        print(f"rank deficient: {g.edge_count - report.rank} undetermined direction(s)")
         for rel in report.relations:
-            print(f"invisible shift: {_fmt_relation(g, rel)}")
+            shift = _signed_sum(
+                (c, ("" if abs(c) == 1 else f"{abs(c)}*") + f"w{_fmt_edge(g, e)}") for e, c in enumerate(rel)
+            )
+            print(f"invisible shift: {shift}")
         if report.rank == 1:
             print("note: only cycle multiples observable")
     return 0
@@ -338,15 +319,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="parse a graph file and test odometric-ness")
+    p_check.set_defaults(handler=cmd_check)
     p_check.add_argument("file")
 
     p_reveal = sub.add_parser("reveal", help="emit a reveal certificate for every edge")
+    p_reveal.set_defaults(handler=cmd_reveal)
     p_reveal.add_argument("file")
     p_reveal.add_argument("--start", type=int, default=0, metavar="V")
     p_reveal.add_argument("--minimal", action="store_true", help="also extract a minimal measuring basis")
     p_reveal.add_argument("--format", choices=("text", "json"), default="text")
 
     p_recover = sub.add_parser("recover", help="recover all weights via the internal odometer")
+    p_recover.set_defaults(handler=cmd_recover)
     p_recover.add_argument("file")
     p_recover.add_argument("--start", type=int, default=0, metavar="V")
     p_recover.add_argument(
@@ -356,6 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_enum = sub.add_parser("enumerate", help="enumerate closed non-backtracking walks and their span")
+    p_enum.set_defaults(handler=cmd_enumerate)
     p_enum.add_argument("file")
     p_enum.add_argument("--start", type=int, default=0, metavar="V")
     p_enum.add_argument("--max-len", type=int, default=None, metavar="L", help="edge-count cap (default 2|E|+3)")
@@ -371,24 +356,13 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "check":
-            return cmd_check(args.file)
-        if args.command == "reveal":
-            return cmd_reveal(args.file, args.start, args.minimal, args.format)
-        if args.command == "recover":
-            return cmd_recover(args.file, args.start, args.oracle_transcript)
-        if args.command == "enumerate":
-            return cmd_enumerate(args.file, args.start, args.max_len, args.list)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.handler(_load(args.file), args)
     except NotOdometricError as exc:
         print(f"NOT ODOMETRIC ({exc})")
         return 1
     except OdographError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command dispatch")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,10 +14,6 @@ from typing import Iterable, Sequence
 
 from .errors import NotOdometricError
 
-Rational = Fraction
-"""Exact scalar type used for all weights and solved values."""
-
-
 def _as_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value

@@ -4,11 +4,13 @@ The Odometer simulates the only instrument the problem allows: it answers
 the total weight of a closed non-backtracking walk submitted from its home
 vertex, and counts how many measurements were taken. The enumerator walks
 every closed non-backtracking walk from a vertex up to an edge-count cap,
-pruning steps too far from home to close in time; the span report skips
-reverses of walks it read and, once the span's orthogonal complement is
-small, keeps a basis of it: a walk lies in the span iff it is orthogonal
-to that basis, an exact integer test. Together they give an independent
-way to check what is and is not recoverable on small graphs.
+pruning steps too far from home to close in time. Such an enumeration
+holds each walk's reverse, which uses every edge as often, so its
+consumers read one of each pair (``one_per_reversal``) and remember
+nothing. The span report, once the span's orthogonal complement is small,
+keeps a basis of it: a walk lies in the span iff it is orthogonal to that
+basis, an exact integer test. Together they give an independent way to
+check what is and is not recoverable on small graphs.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class Odometer:
         self._count = 0
         self._denom = lcm(*(w.denominator for w in g.weights))
         self._numer = [w.numerator * (self._denom // w.denominator) for w in g.weights]
-
-    @property
-    def home(self) -> int:
-        return self._home
 
     @property
     def query_count(self) -> int:
@@ -112,6 +110,17 @@ def enumerate_closed_nb_walks(g: Graph, home: int, max_edges: int) -> list[Walk]
     return list(iter_closed_nb_walks(g, home, max_edges))
 
 
+def one_per_reversal(walks: Iterable[Walk]) -> Iterator[Walk]:
+    """The walks w of an enumeration with w <= w[::-1], in order.
+
+    The closed non-backtracking walks from home within a cap include each
+    one's reverse, which uses every edge as often; a closed non-backtracking
+    walk is never its own reverse, so this keeps exactly one of each pair,
+    the one the lexicographic enumeration yields first, and holds no memory.
+    """
+    return (w for w in walks if w <= w[::-1])
+
+
 class SpanReport(NamedTuple):
     """Rank of the walk matrix plus a basis of the invisible directions.
 
@@ -143,8 +152,9 @@ def _report(edge_count: int, echelon: _Echelon) -> SpanReport:
 def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
     """Rank and invisible directions for a collection of walks.
 
-    Each walk is read once as sparse usage counts; a walk whose reverse was
-    already read uses every edge as often, and is skipped. Once a walk is
+    Every walk given is read, as sparse usage counts, so the answer holds for
+    any collection; an enumeration is passed through ``one_per_reversal``
+    first, which halves the reads and keeps nothing. Once a walk is
     dependent while the |E| - rank relations of ``_report`` hold no more
     entries than the stored rows, those relations are kept as a basis of the
     span's orthogonal complement: a later walk lies in the span exactly when
@@ -155,14 +165,9 @@ def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
     """
     m = g.edge_count
     echelon = _Echelon()
-    read: set[Walk] = set()
     stored = 0  # entries in the echelon's rows
     complement: list[Sequence[int]] | None = None
     for w in walks:
-        w = tuple(w)
-        if w[::-1] in read:
-            continue
-        read.add(w)
         usage = _edge_usage(g, w)
         if complement is None:
             if echelon.add(usage):
@@ -190,8 +195,9 @@ def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
 def revealable_span(g: Graph, home: int, max_edges: int) -> SpanReport:
     """Span of everything measurable from home within an edge-count cap.
 
-    ``span_report`` over the closed non-backtracking walks from home with
-    at most max_edges edges, enumerated lazily, so the enumeration stops
-    as soon as the span fills all |E| directions.
+    ``span_report`` over one of each reversed pair of the closed
+    non-backtracking walks from home with at most max_edges edges,
+    enumerated lazily, so memory does not grow with the enumeration and it
+    stops as soon as the span fills all |E| directions.
     """
-    return span_report(g, iter_closed_nb_walks(g, home, max_edges))
+    return span_report(g, one_per_reversal(iter_closed_nb_walks(g, home, max_edges)))

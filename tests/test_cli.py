@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import textwrap
 from fractions import Fraction
@@ -100,6 +101,9 @@ def graph_file(tmp_path):
 
 # ------------------------------------------------------------------ parsing
 
+# str.splitlines breaks at each of these; the format does not
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def test_parse_k4(k4):
     g = parse_graph_text(K4_TEXT)
@@ -137,6 +141,9 @@ def test_parse_comments_and_blank_lines():
         ("odometry-graph v1\nn two\n", 2, "expected 'n <vertex_count>'"),
         ("odometry-graph v1\nn 2\ne 0 1\n", 3, "expected 'e <u> <v> <weight>'"),
         ("odometry-graph v1\n\nn 4\ne 0 1 1\n", 3, "exceeds 2|E| + 1 = 3"),
+        ("odometry-graph v1\r\nn 2\r\ne 0 1 x\r\n", 3, "malformed weight 'x'"),
+        ("odometry-graph v1\rn 2\re 0 1 x\r", 3, "malformed weight 'x'"),
+        *((f"odometry-graph v1\n# page{c}break\nn 2\ne 0 1 x\n", 4, "malformed weight 'x'") for c in _NOT_LINE_ENDS),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno, needle):
@@ -252,6 +259,25 @@ def test_invalid_utf8_is_a_parse_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: line 3: file is not valid UTF-8 text\n"
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in _NOT_LINE_ENDS])
+def test_unicode_breaks_stay_inside_a_comment(graph_file, capsys, char):
+    text = K4_TEXT.replace("# complete graph", f"# complete{char}graph")
+    assert main(["check", graph_file(text)]) == 0
+    assert capsys.readouterr().out.endswith("\nODOMETRIC\n")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_lone_cr_end_lines(tmp_path, capsys, end):
+    path = tmp_path / "g.graph"
+    path.write_bytes(K4_TEXT.replace("\n", end).encode("utf-8"))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("\nODOMETRIC\n")
+    # the UTF-8 error counts the same line ends as the parser
+    path.write_bytes(end.join(["odometry-graph v1", "n 4", "e 0 1 1\xff"]).encode("latin-1"))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 3: file is not valid UTF-8 text\n"
 
 
 def test_unreadable_file(capsys):
@@ -673,6 +699,21 @@ def test_reading_past_the_int_string_limit_is_an_error(graph_file, tmp_path, cap
 
 
 # -------------------------------------------------------------------- usage
+
+
+@pytest.mark.parametrize(
+    "command,text,rc,last_line",
+    [("check", K4_TEXT, 0, "ODOMETRIC"), ("reveal", C5_TEXT, 1, "NOT ODOMETRIC (vertex 0 has degree 2)")],
+)
+def test_python_m_odograph_runs_the_cli(graph_file, command, text, rc, last_line):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "odograph", command, graph_file(text)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (rc, "")
+    assert run.stdout.splitlines()[-1] == last_line
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from odograph import (
     walk_weight,
 )
 import odograph.oracle
-from odograph.oracle import SpanReport, _report, iter_closed_nb_walks
+from odograph.oracle import SpanReport, _report, iter_closed_nb_walks, one_per_reversal
 from odograph.solver import _Echelon, _pool_certificate_walks
 from conftest import (
     brute_closed_nb_walks,
@@ -304,6 +305,28 @@ def test_span_pendant_edge_invisible():
     assert (0, 0, 0, 1) in report.relations
 
 
+def test_one_per_reversal_keeps_one_walk_of_each_pair(subdivided_k4, k4):
+    for g in (k4, subdivided_k4):
+        walks = enumerate_closed_nb_walks(g, 0, 11)
+        kept = list(one_per_reversal(walks))
+        assert len(kept) * 2 == len(walks)
+        assert set(kept) | {w[::-1] for w in kept} == set(walks)
+        assert span_report(g, kept) == span_report(g, walks)
+
+
+def test_revealable_span_keeps_no_walks(subdivided_k4):
+    """At cap 17 the enumeration yields 22,204 walks, none of which is kept:
+    the traced peak stays far below what holding them would take."""
+    tracemalloc.start()
+    try:
+        report = revealable_span(subdivided_k4, 0, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == SpanReport(6, ((0, 0, 0, 0, 0, -1, 1),))
+    assert peak < 1_000_000
+
+
 def test_span_report_on_explicit_walks(k4):
     report = span_report(k4, [(0, 1, 2, 0), (0, 1, 2, 0), (0, 2, 1, 0)])
     assert report.rank == 1
@@ -445,7 +468,7 @@ def report_calls(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_span_report_matches_the_dense_loop(data):
-    """The reverse skip and the complement test report what eliminating
+    """Reading every walk and the complement test report what eliminating
     every distinct usage vector reports, on collections with reversed,
     repeated and list-typed walks, open ones among them."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
