@@ -25,7 +25,6 @@ from .errors import (
 )
 from .graph import Graph, is_connected, is_odometric
 from .walks import edge_multiplicities, is_valid_nb_walk, walk_weight
-from .decomposition import block_cut_tree
 from .revealer import IdentityTrace, RevealCertificate, flatten, reveal_all, transfer_neighbor_walk
 from .solver import (
     build_walk_matrix,
@@ -45,7 +44,6 @@ __all__ = [
     "is_valid_nb_walk",
     "edge_multiplicities",
     "walk_weight",
-    "block_cut_tree",
     "RevealCertificate",
     "IdentityTrace",
     "transfer_neighbor_walk",

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
-from .oracle import Odometer, enumerate_closed_nb_walks, one_per_reversal, span_report
+from .oracle import Odometer, iter_closed_nb_walks, one_per_reversal, span_report
 from .revealer import reveal_all
 from .solver import _select_basis, _solve, extract_minimal_basis
 
@@ -290,12 +290,21 @@ def cmd_recover(g: Graph, args: argparse.Namespace) -> int:
 
 def cmd_enumerate(g: Graph, args: argparse.Namespace) -> int:
     cap = args.max_len if args.max_len is not None else 2 * g.edge_count + 3
-    walks = enumerate_closed_nb_walks(g, args.start, cap)
-    print(f"closed non-backtracking walks from {args.start} with at most {cap} edges: {len(walks)}")
+    walks = iter_closed_nb_walks(g, args.start, cap)
+    read = 0
+
+    def counted():
+        nonlocal read
+        for read, w in enumerate(walks, 1):
+            yield w
+
+    # one lazy pass: the span stops reading at full rank, and the rest is counted
+    report = span_report(g, one_per_reversal(counted()))
+    count = read + sum(1 for _ in walks)
+    print(f"closed non-backtracking walks from {args.start} with at most {cap} edges: {count}")
     if args.list:
-        for w in walks:
+        for w in iter_closed_nb_walks(g, args.start, cap):
             print(f"  {_fmt_walk(w)}")
-    report = span_report(g, one_per_reversal(walks))
     print(f"edges: {g.edge_count}")
     full = " (full)" if report.rank == g.edge_count else ""
     print(f"rank: {report.rank} of {g.edge_count}{full}")

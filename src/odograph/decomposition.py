@@ -18,9 +18,7 @@ from .graph import Graph, is_connected
 
 @dataclass(frozen=True)
 class Block:
-    index: int
     edge_ids: tuple[int, ...]
-    vertices: tuple[int, ...]
 
     @property
     def is_bridge(self) -> bool:
@@ -29,24 +27,15 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    """Blocks and cut vertices of a connected graph, with tree adjacency.
+    """Blocks and cut vertices of a connected graph.
 
-    Block ids are assigned by the smallest edge id each block contains, so
-    the decomposition is stable for a fixed input edge order. The bipartite
-    adjacency (block node <-> cut vertex node) is exactly "the cut vertex
-    lies in the block".
+    Blocks are ordered by the smallest edge id each contains, so the
+    decomposition is stable for a fixed input edge order. A cut vertex is
+    adjacent, in the block-cut tree, to each block with an edge at it.
     """
 
     blocks: tuple[Block, ...]
     cut_vertices: tuple[int, ...]
-    block_of_edge: tuple[int, ...]
-    blocks_by_vertex: tuple[tuple[int, ...], ...]
-
-    def blocks_at(self, v: int) -> tuple[int, ...]:
-        return self.blocks_by_vertex[v]
-
-    def is_bridge_edge(self, edge_id: int) -> bool:
-        return self.blocks[self.block_of_edge[edge_id]].is_bridge
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -115,23 +104,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
             cuts.add(root)
 
     raw_blocks.sort(key=min)
-    blocks: list[Block] = []
-    block_of_edge = [-1] * m
-    by_vertex: list[set[int]] = [set() for _ in range(n)]
-    for idx, edge_ids in enumerate(raw_blocks):
-        vertices: set[int] = set()
-        for eid in sorted(edge_ids):
-            block_of_edge[eid] = idx
-            a, b = g.endpoints(eid)
-            vertices.add(a)
-            vertices.add(b)
-        for v in vertices:
-            by_vertex[v].add(idx)
-        blocks.append(Block(idx, tuple(sorted(edge_ids)), tuple(sorted(vertices))))
-
     return BlockCutTree(
-        blocks=tuple(blocks),
+        blocks=tuple(Block(tuple(sorted(edge_ids))) for edge_ids in raw_blocks),
         cut_vertices=tuple(sorted(cuts)),
-        block_of_edge=tuple(block_of_edge),
-        blocks_by_vertex=tuple(tuple(sorted(s)) for s in by_vertex),
     )

@@ -6,10 +6,9 @@ class OdographError(Exception):
 
 
 class GraphFormatError(OdographError):
-    """Malformed graph file. Carries the offending 1-based line number."""
+    """Malformed graph file. The message starts with the offending 1-based line."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -39,10 +38,6 @@ class PreconditionError(OdographError):
 
 class NotOdometricError(OdographError):
     """The graph admits no full recovery; names a low-degree vertex if one exists."""
-
-    def __init__(self, message: str, vertex: int | None = None):
-        self.vertex = vertex
-        super().__init__(message)
 
 
 class CyclicDependencyError(OdographError):

@@ -98,10 +98,6 @@ class Graph:
         except KeyError:
             raise KeyError(f"no edge {{{key[0]},{key[1]}}}") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._ids
-
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return self._edges[edge_id]
 
@@ -119,9 +115,6 @@ class Graph:
         if self._weights is None:
             raise ValueError("graph has no weights")
         return self._weights[edge_id]
-
-    def with_weights(self, weights: Sequence) -> "Graph":
-        return Graph(self._n, self._edges, weights)
 
     def without_weights(self) -> "Graph":
         # the tables are never mutated after construction, so they are shared
@@ -184,7 +177,7 @@ def odometric_defect(g: Graph) -> NotOdometricError | None:
     low = low_degree_vertices(g)
     if low:
         v = low[0]
-        return NotOdometricError(f"vertex {v} has degree {g.degree(v)}", vertex=v)
+        return NotOdometricError(f"vertex {v} has degree {g.degree(v)}")
     if g.vertex_count == 0 or not is_connected(g):
         return NotOdometricError("graph is disconnected")
     return None

@@ -51,11 +51,6 @@ class Odometer:
     def query_count(self) -> int:
         return self._count
 
-    @property
-    def topology(self) -> Graph:
-        """The graph with weights stripped; safe to hand to a solver."""
-        return self._g.without_weights()
-
     def measure(self, w: Sequence[int]) -> Fraction:
         walk = tuple(w)
         if len(walk) < 2:

@@ -33,17 +33,16 @@ from typing import Mapping
 
 from .errors import CyclicDependencyError, MissingCertificateError, PreconditionError
 from .graph import Graph, bfs_forest, odometric_defect
-from .walks import Walk, _edge_usage, concat, edge_multiplicities, is_closed, reverse
+from .walks import Walk, _edge_usage, concat, is_closed, reverse
 
 
 @dataclass(frozen=True)
 class RevealCertificate:
-    """An integer identity proving a weight from closed-walk measurements.
+    """An integer identity proving an edge weight from closed-walk measurements.
 
-    Semantics: with target T (an edge id, meaning its weight, or a walk,
-    meaning its total weight),
+    Semantics: with target t, an edge id,
 
-        target_coefficient * value(T)
+        target_coefficient * weight(t)
             = sum(c * F(walk) for c, walk in terms)
             + sum(d * weight(e) for d, e in edge_terms)
 
@@ -55,23 +54,17 @@ class RevealCertificate:
     emits them.
     """
 
-    target: int | Walk
+    target: int
     target_coefficient: int
     home: int
     terms: tuple[tuple[int, Walk], ...]
     edge_terms: tuple[tuple[int, int], ...] = ()
 
-    def target_multiplicities(self, g: Graph) -> list[int]:
-        if isinstance(self.target, int):
-            vec = [0] * g.edge_count
-            vec[self.target] = 1
-            return vec
-        return edge_multiplicities(g, self.target)
-
 
 @dataclass(frozen=True)
 class DoublingRecord:
-    """One instance of the doubling identity, kept for auditing."""
+    """One instance of the doubling identity, kept for auditing:
+    2 F(base) = 2 F(conjugate_once) - F(conjugate_twice)."""
 
     base: Walk
     cycle: Walk

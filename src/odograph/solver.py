@@ -39,12 +39,7 @@ class WalkMatrix:
     """Usage-count matrix: rows indexed by edge id, one column per walk."""
 
     edge_count: int
-    walks: tuple[Walk, ...]
     columns: tuple[tuple[int, ...], ...]
-
-    @property
-    def walk_count(self) -> int:
-        return len(self.walks)
 
     def rows(self) -> list[list[int]]:
         return [
@@ -59,7 +54,7 @@ def build_walk_matrix(g: Graph, walks: Sequence[Walk]) -> WalkMatrix:
         if len(w) < 2:
             raise InvalidWalkError("empty walks have all-zero columns and are not admitted")
         columns.append(tuple(edge_multiplicities(g, w)))
-    return WalkMatrix(g.edge_count, tuple(tuple(w) for w in walks), tuple(columns))
+    return WalkMatrix(g.edge_count, tuple(columns))
 
 
 class _Echelon:
@@ -354,21 +349,16 @@ def recover_weights(
 def verify_certificate(g: Graph, cert: RevealCertificate) -> bool:
     """Check the weight-independent identity behind a flattened certificate.
 
-    True iff, for every edge, the summed usage counts of the certificate
-    walks equal the target coefficient times the target's usage of that
-    edge. This never looks at weights, so it certifies the identity for
-    every weighting at once. Usage counts are kept sparse, so the check
-    takes time linear in the total length of the walks.
+    True iff the summed usage counts of the certificate walks are the
+    target coefficient on the target edge and zero on every other edge.
+    This never looks at weights, so it certifies the identity for every
+    weighting at once. Usage counts are kept sparse, so the check takes
+    time linear in the total length of the walks.
     """
     if cert.edge_terms:
         raise PreconditionError("verify_certificate needs a flattened certificate")
-    balance: dict[int, int] = {}
-    terms = list(cert.terms)
-    if isinstance(cert.target, int):
-        balance[cert.target] = -cert.target_coefficient
-    else:
-        terms.insert(0, (-cert.target_coefficient, cert.target))
-    for c, w in terms:
+    balance = {cert.target: -cert.target_coefficient}
+    for c, w in cert.terms:
         for e, k in _edge_usage(g, w).items():
             balance[e] = balance.get(e, 0) + c * k
     return not any(balance.values())

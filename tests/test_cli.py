@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import odograph
 from odograph import (
     GraphFormatError,
     Odometer,
+    enumerate_closed_nb_walks,
     extract_minimal_basis,
     is_valid_nb_walk,
     recover_weights,
@@ -594,6 +596,39 @@ def test_enumerate_bad_start(graph_file, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,start,cap",
+    [(K4_TEXT, 0, 8), (SUBDIV_K4_TEXT, 4, 12), (SUBDIV_K4_TEXT, 0, 12)],
+    ids=["K4 full early", "subdivided K4 from 4, full early", "subdivided K4 from 0, never full"],
+)
+def test_enumerate_counts_and_lists_the_whole_enumeration(graph_file, capsys, text, start, cap):
+    """The count and the listed walks are the whole enumeration's, also
+    when the span fills every direction before the last walk."""
+    walks = enumerate_closed_nb_walks(parse_graph_text(text), start, cap)
+    assert main(["enumerate", graph_file(text), "--start", str(start), "--max-len", str(cap), "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f" edges: {len(walks)}")
+    assert lines[1 : 1 + len(walks)] == ["  [" + ",".join(map(str, w)) + "]" for w in walks]
+    assert lines[1 + len(walks)].startswith("edges: ")
+
+
+def test_enumerate_holds_no_enumeration(graph_file, capsys):
+    """enumerate counts its walks while the span reads them, so its memory
+    does not grow with the enumeration: 74,032 walks, which would take
+    about 15 MB as a list, peak under 2 MB."""
+    path = graph_file(SUBDIV_K4_TEXT)
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", path, "--max-len", "19"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith(
+        "closed non-backtracking walks from 0 with at most 19 edges: 74032\n"
+    )
+    assert peak < 2 * 2**20
+
+
 # -------------------------------------------------------------- determinism
 
 
@@ -714,6 +749,52 @@ def test_python_m_odograph_runs_the_cli(graph_file, command, text, rc, last_line
     )
     assert (run.returncode, run.stderr) == (rc, "")
     assert run.stdout.splitlines()[-1] == last_line
+
+
+# The CLI with each test dependency unimportable: the library has none at
+# run time. Arguments: the K4 file, the C5 file, a transcript path.
+_WITHOUT_TEST_DEPENDENCIES = textwrap.dedent(
+    """\
+    import contextlib, io, json, sys
+    for name in ("sympy", "hypothesis", "pytest"):
+        sys.modules[name] = None
+    from odograph.cli import main
+    k4, c5, trips = sys.argv[1:]
+    def run(rc, *args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            got = main(list(args))
+        print(*args, "exits", got)
+        if got != rc:
+            sys.exit(f"expected exit {rc}")
+        return out.getvalue()
+    def as_dumps(text, what):
+        if text != json.dumps(json.loads(text), indent=2) + "\\n":
+            sys.exit(f"{what} is not what json.dumps(..., indent=2) writes")
+    run(0, "recover", k4, "--start", "2", "--oracle-transcript", trips)
+    with open(trips, encoding="utf-8") as fh:
+        as_dumps(fh.read(), "the recover transcript")
+    run(0, "check", k4)
+    as_dumps(run(0, "reveal", k4, "--minimal", "--format", "json"), "reveal --format json")
+    run(0, "enumerate", k4, "--max-len", "6")
+    if run(1, "reveal", c5) != "NOT ODOMETRIC (vertex 0 has degree 2)\\n":
+        sys.exit("reveal on C5 printed the wrong verdict")
+    run(2, "recover", k4, "--start", "9")
+    """
+)
+
+
+def test_cli_runs_with_no_test_dependency_importable(graph_file, tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    args = [graph_file(K4_TEXT, "k4.graph"), graph_file(C5_TEXT, "c5.graph"), str(tmp_path / "trips.json")]
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_TEST_DEPENDENCIES, *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stderr == "error: start vertex 9 out of range\n"
+    assert [line.rsplit(" ", 1)[1] for line in run.stdout.splitlines()] == ["0", "0", "0", "0", "1", "2"]
 
 
 def test_no_arguments_is_usage_error(capsys):

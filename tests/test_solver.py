@@ -13,7 +13,6 @@ from odograph import (
     Odometer,
     PreconditionError,
     RankDeficientError,
-    IdentityTrace,
     RevealCertificate,
     build_walk_matrix,
     edge_multiplicities,
@@ -42,7 +41,7 @@ def rank_of(g, walks):
 
 def test_build_walk_matrix_triangles(k4):
     m = build_walk_matrix(k4, [(0, 1, 2, 0), (0, 1, 3, 0)])
-    assert m.edge_count == 6 and m.walk_count == 2
+    assert m.edge_count == 6 and len(m.columns) == 2
     assert m.columns[0] == (1, 1, 0, 1, 0, 0)
     assert m.columns[1] == (1, 0, 1, 0, 1, 0)
     assert m.rows()[0] == [1, 1]  # edge {0,1} appears once in each walk
@@ -245,36 +244,24 @@ def dense_verify(g, cert):
     for c, w in cert.terms:
         for e, mult in enumerate(edge_multiplicities(g, w)):
             acc[e] += c * mult
-    target = cert.target_multiplicities(g)
-    return acc == [cert.target_coefficient * t for t in target]
+    return acc == [cert.target_coefficient * (e == cert.target) for e in range(g.edge_count)]
 
 
 _TAMPERS = ("none", "coefficient", "drop", "extra walk", "target coefficient", "retarget")
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32), st.sampled_from(_TAMPERS), st.booleans())
-def test_verify_certificate_matches_dense_reference(seed, tamper, walk_target):
-    """Edge and walk targets, sound or tampered: the sparse check agrees
-    with the dense one, and accepts exactly the untampered certificates."""
+@given(st.integers(0, 2**32), st.sampled_from(_TAMPERS))
+def test_verify_certificate_matches_dense_reference(seed, tamper):
+    """Sound or tampered certificates: the sparse check agrees with the
+    dense one, and accepts exactly the untampered certificates."""
     from dataclasses import replace
 
     rng = random.Random(seed)
     n = rng.randint(4, 9)
     g = Graph(n, random_min_deg3_edges(rng, n))
     start = rng.randrange(n)
-    if walk_target:
-        trace = IdentityTrace()
-        reveal_all(g, start, trace)
-        rec = rng.choice(trace.doublings)
-        cert = RevealCertificate(
-            target=rec.base,
-            target_coefficient=2,
-            home=start,
-            terms=((2, rec.conjugate_once), (-1, rec.conjugate_twice)),
-        )
-    else:
-        cert = rng.choice(list(reveal_all(g, start).values()))
+    cert = rng.choice(list(reveal_all(g, start).values()))
     i = rng.randrange(len(cert.terms))
     c, w = cert.terms[i]
     if tamper == "coefficient":
@@ -286,8 +273,6 @@ def test_verify_certificate_matches_dense_reference(seed, tamper, walk_target):
         cert = replace(cert, terms=cert.terms + ((rng.choice((-2, -1, 1, 2)), extra),))
     elif tamper == "target coefficient":
         cert = replace(cert, target_coefficient=cert.target_coefficient + 1)
-    elif tamper == "retarget" and not walk_target:
-        cert = replace(cert, target=(cert.target + 1) % g.edge_count)
     elif tamper == "retarget":
-        cert = replace(cert, target=cert.target[:-1])
+        cert = replace(cert, target=(cert.target + 1) % g.edge_count)
     assert verify_certificate(g, cert) == dense_verify(g, cert) == (tamper == "none")
