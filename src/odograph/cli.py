@@ -45,8 +45,8 @@ from fractions import Fraction
 from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
 from .oracle import Odometer, iter_closed_nb_walks, one_per_reversal, span_report
-from .revealer import reveal_all
-from .solver import _select_basis, _solve, extract_minimal_basis
+from .revealer import IdentityTrace, reveal_all
+from .solver import _select_basis, _solve
 
 _HEADER = "odometry-graph v1"
 # the only line ends; str.splitlines also breaks at \f, \x85, U+2028 and more
@@ -241,8 +241,10 @@ def cmd_check(g: Graph, args: argparse.Namespace) -> int:
 
 
 def cmd_reveal(g: Graph, args: argparse.Namespace) -> int:
-    certs = reveal_all(g, args.start)
-    basis = extract_minimal_basis(g, certs) if args.minimal else None
+    # the trace lets selection compose each walk's row from its lasso parts
+    trace = IdentityTrace() if args.minimal else None
+    certs = reveal_all(g, args.start, trace)
+    basis = _select_basis(g, certs, trace)[0] if args.minimal else None
     if args.format == "json":
         print(_reveal_json(g, args.start, certs, basis))
         return 0
@@ -260,7 +262,9 @@ def cmd_recover(g: Graph, args: argparse.Namespace) -> int:
     transcript_path = args.oracle_transcript
     topology = g.without_weights()
     # the solve replays this selection's row operations on the readings
-    basis, selection = _select_basis(topology, reveal_all(topology, args.start))
+    trace = IdentityTrace()
+    certs = reveal_all(topology, args.start, trace)
+    basis, selection = _select_basis(topology, certs, trace)
     odo = Odometer(g, args.start)
     measurements = [odo.measure(w) for w in basis]
     recovered = _solve(selection, measurements)

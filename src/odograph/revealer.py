@@ -74,7 +74,11 @@ class DoublingRecord:
 
 @dataclass
 class IdentityTrace:
-    """Collects every doubling instance a reveal run constructs."""
+    """Collects every doubling instance a reveal run constructs.
+
+    Every certificate walk of the run is some record's conjugate, so basis
+    selection can build the walks' rows from the records' parts.
+    """
 
     doublings: list[DoublingRecord] = field(default_factory=list)
 

@@ -10,10 +10,15 @@ and records the row operations that reduced each row it stores; it works
 in integers throughout. Basis selection and the solve first rewrite each
 row in spanning-tree potentials (``_potentials``), where the tree path to
 a closed walk's detour telescopes away, so rows stay short however deep
-the graph. Each row is eliminated once: ``recover_weights`` selects its
-walks as a basis is selected, ``cli`` reuses its basis's selection, and
-the solve replays the recorded row operations on the readings, scaled to
-integers. Solved potentials map back to edge weights as Fractions.
+the graph. Given the ``IdentityTrace`` of the reveal that built the
+certificates, selection does not even read their walks: each is a lasso
+W.C^k.rev(W), and its row is composed from the record's parts, the
+telescoped stem W and the once-read cycle C. Each row is eliminated once:
+``recover_weights`` selects its walks as a basis is selected, ``cli``
+reuses its basis's selection, and the solve replays the recorded row
+operations on the readings, scaled to integers, and re-checks every
+equation in potential coordinates. Solved potentials map back to edge
+weights as Fractions.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     RankDeficientError,
 )
 from .graph import Graph, bfs_forest
-from .revealer import RevealCertificate
+from .revealer import DoublingRecord, IdentityTrace, RevealCertificate
 from .walks import Walk, _edge_usage, edge_multiplicities
 
 
@@ -78,16 +83,17 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, vec: Mapping[int, int] | Sequence[int]) -> bool:
+    def add(self, vec: dict[int, int] | Sequence[int]) -> bool:
         """Reduce vec against the stored rows; store it if it is independent.
 
-        vec is a sparse ``{column: coefficient}`` mapping, such as a walk's
+        vec is a sparse ``{column: coefficient}`` dict, such as a walk's
         ``walks._edge_usage``, or a dense row indexed by column. Each step
         v <- scale * v - factor * rows[pivot] clears v's smallest column, and
         a row left nonzero is divided by its content and stored, with its
         steps. Returns whether vec was stored.
         """
-        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        # a dict, not any Mapping: the abstract class check costs about 1 us
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         v = {j: x for j, x in items if x}
         steps: list[tuple[int, int, int]] = []
         while v:
@@ -223,6 +229,29 @@ def _potential_row(coords: list[tuple[int, int | None]], usage: Mapping[int, int
     return row
 
 
+def _lasso_row(
+    g: Graph, coords: list[tuple[int, int | None]], base: Walk, cycle_row: Mapping[int, int], k: int
+) -> dict[int, int]:
+    """The ``_potentials`` row of the lasso base.C^k.rev(base), given C's row.
+
+    The lasso uses each edge of base twice and each of C k times, so its row
+    is 2 row(base) + k row(C). base is a tree path of ``_potentials`` from
+    its root, possibly plus one edge, as every ``DoublingRecord.base`` of
+    ``reveal_all`` is; the tree path to base[-2] telescopes to y at base[-2],
+    the plus column of the tree edge into it, so row(base) is that entry
+    and the columns of base's last edge.
+    """
+    row = {j: k * c for j, c in cycle_row.items()}
+    stem = [coords[g.edge_id(base[-2], base[-1])]]
+    if len(base) > 2:
+        stem.append((coords[g.edge_id(base[-3], base[-2])][0], None))
+    for plus, minus in stem:
+        row[plus] = row.get(plus, 0) + 2
+        if minus is not None:
+            row[minus] = row.get(minus, 0) - 2
+    return row
+
+
 def _pool_certificate_walks(certs: Mapping[int, RevealCertificate]) -> list[Walk]:
     pool: list[Walk] = []
     seen: set[Walk] = set()
@@ -243,43 +272,72 @@ class _Selection(NamedTuple):
     """Walks picked greedily for independence, and what the solve reuses."""
 
     picks: list[int]  # index of each chosen walk among the walks offered
-    usages: list[dict[int, int]]  # each chosen walk's ``walks._edge_usage``
+    rows: list[dict[int, int]]  # each chosen walk's row in the columns of coords
     coords: list[tuple[int, int | None]]  # ``_potentials`` from the first walk's start
     echelon: _Echelon  # the chosen rows, stored in order, with their steps
 
 
-def _select(g: Graph, walks: Sequence[Walk], what: str) -> _Selection:
+def _select(
+    g: Graph,
+    walks: Sequence[Walk],
+    what: str,
+    lassos: Mapping[Walk, tuple[DoublingRecord, int]] = {},
+) -> _Selection:
     """Pick, in order, each walk whose row grows the rank, up to |E| of them.
 
     Rows are eliminated in the tree-potential coordinates of ``_potentials``
     rooted at the first walk's start; the map is invertible, so the greedy
-    choice is the one edge coordinates would make. Walks are read only
-    until the rank reaches |E|. Fewer than |E| independent walks is a
-    RankDeficientError, worded with what the walks are.
+    choice is the one edge coordinates would make. A walk that lassos maps
+    to (record, k) is the lasso W.C^k.rev(W) of the record's base W and
+    cycle C, whose row ``_lasso_row`` composes without reading the walk;
+    each cycle is read once, which also checks it. Every other walk is
+    read, and checked, as it is. Walks are read only until the rank reaches
+    |E|. Fewer than |E| independent walks is a RankDeficientError, worded
+    with what the walks are.
     """
     m = g.edge_count
     coords: list[tuple[int, int | None]] = []
     echelon = _Echelon()
     picks: list[int] = []
-    usages: list[dict[int, int]] = []
+    rows: list[dict[int, int]] = []
+    cycle_rows: dict[Walk, dict[int, int]] = {}
     for i, w in enumerate(walks):
         if echelon.rank == m:
             break
-        usage = _edge_usage(g, w)
         if not i:
             coords = _potentials(g, w[0])
-        if echelon.add(_potential_row(coords, usage)):
+        lasso = lassos.get(w)
+        if lasso is None:
+            row = _potential_row(coords, _edge_usage(g, w))
+        else:
+            rec, k = lasso
+            cycle_row = cycle_rows.get(rec.cycle)
+            if cycle_row is None:
+                cycle_row = cycle_rows[rec.cycle] = _potential_row(coords, _edge_usage(g, rec.cycle))
+            row = _lasso_row(g, coords, rec.base, cycle_row, k)
+        if echelon.add(row):
             picks.append(i)
-            usages.append(usage)
+            rows.append(row)
     if echelon.rank < m:
         raise RankDeficientError(f"{what} span only {echelon.rank} of {m} directions")
-    return _Selection(picks, usages, coords, echelon)
+    return _Selection(picks, rows, coords, echelon)
 
 
-def _select_basis(g: Graph, certs: Mapping[int, RevealCertificate]) -> tuple[list[Walk], _Selection]:
-    """The minimal basis of ``extract_minimal_basis`` and its selection."""
+def _select_basis(
+    g: Graph, certs: Mapping[int, RevealCertificate], trace: IdentityTrace | None = None
+) -> tuple[list[Walk], _Selection]:
+    """The minimal basis of ``extract_minimal_basis`` and its selection.
+
+    trace, if given, is the one ``reveal_all`` filled while it built certs
+    on g; the rows of the walks it records are then composed, not read.
+    """
     pool = _pool_certificate_walks(certs)
-    selection = _select(g, pool, "certificate walks")
+    lassos = {}
+    if trace is not None:
+        for rec in trace.doublings:
+            lassos[rec.conjugate_once] = (rec, 1)
+            lassos[rec.conjugate_twice] = (rec, 2)
+    selection = _select(g, pool, "certificate walks", lassos)
     return [pool[i] for i in selection.picks], selection
 
 
@@ -293,19 +351,21 @@ def _solve(
     All readings are scaled to integers over their common denominator D.
     The chosen ones are replayed through the operations that reduced their
     rows, and the potentials back substituted, each of which may scale the
-    integers up further, by t and by s. The potentials map to integer edge
-    weights D * t * s times too large; every equation, the chosen walks'
-    and the others' ``(usage, reading)``, is checked against those, and
-    readings that admit no exact solution are reported.
+    integers up further, by t and by s, so the potentials come out D * t * s
+    times too large. Every equation, the chosen walks' and the others'
+    ``(row, reading)`` with rows in the selection's columns, is checked
+    against those potentials; the map to edge weights is invertible, so
+    this is the check in edge weights. Readings that admit no exact
+    solution are reported.
     """
-    equations = [(u, Fraction(b)) for u, b in (*zip(selection.usages, readings), *others)]
+    equations = [(row, Fraction(b)) for row, b in (*zip(selection.rows, readings), *others)]
     d = lcm(*(b.denominator for _, b in equations))
     scaled = [b.numerator * (d // b.denominator) for _, b in equations]
-    rhs, t = selection.echelon.replay(scaled[: len(selection.usages)])
+    rhs, t = selection.echelon.replay(scaled[: len(selection.rows)])
     x, s = selection.echelon.back_substitute(rhs=rhs)
     weights = [x[plus] if minus is None else x[plus] - x[minus] for plus, minus in selection.coords]
-    for (usage, _), r in zip(equations, scaled):
-        if sum(c * weights[e] for e, c in usage.items()) != r * t * s:
+    for (row, _), r in zip(equations, scaled):
+        if sum(c * x[j] for j, c in row.items()) != r * t * s:
             raise InconsistentMeasurementsError("measurements admit no exact solution")
     denom = d * t * s
     return {e: Fraction(w, denom) for e, w in enumerate(weights)}
@@ -339,7 +399,7 @@ def recover_weights(
     selection = _select(g_topology, walks, "measuring walks")
     chosen = set(selection.picks)
     others = [
-        (_edge_usage(g_topology, w), b)
+        (_potential_row(selection.coords, _edge_usage(g_topology, w)), b)
         for i, (w, b) in enumerate(zip(walks, measurements))
         if i not in chosen
     ]

@@ -549,6 +549,28 @@ def test_json_writer_matches_json_dumps(tmp_path_factory, rng, n):
         assert transcript.read_bytes() == (json.dumps(entries, indent=2) + "\n").encode()
 
 
+_BASIS_WALK_RE = re.compile(r"  walk (\d+): \[([\d,]+)\]")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(10, 40))
+def test_reveal_minimal_basis_is_the_reading_selection(tmp_path_factory, rng, n):
+    """reveal --minimal composes each walk's row from its lasso parts;
+    extract_minimal_basis reads every walk. The basis printed must be the
+    one it returns, from several starts of a random min-degree-3 graph."""
+    edges = random_min_deg3_edges(rng, n)
+    g = odograph.Graph(n, edges, random_weights(rng, len(edges)))
+    path = tmp_path_factory.getbasetemp() / "minimal.graph"
+    path.write_text(_graph_text(g), encoding="utf-8")
+    for start in rng.sample(range(n), 4):
+        rc, out = _run(["reveal", str(path), "--start", str(start), "--minimal"])
+        assert rc == 0
+        printed = [_BASIS_WALK_RE.fullmatch(line) for line in out.splitlines() if line.startswith("  walk ")]
+        assert [int(m[1]) for m in printed] == list(range(g.edge_count))
+        basis = [tuple(map(int, m[2].split(","))) for m in printed]
+        assert basis == extract_minimal_basis(g, reveal_all(g, start))
+
+
 def test_recover_not_odometric(graph_file, capsys):
     assert main(["recover", graph_file(C5_TEXT)]) == 1
     assert "NOT ODOMETRIC" in capsys.readouterr().out

@@ -5,9 +5,12 @@ the same greedy and elimination done directly in edge coordinates.
 counts with ``solver._potentials`` before eliminating. The map is
 invertible, so the chosen walks, the weights and the errors must be the
 ones edge coordinates give, on any graph (disconnected ones too) and for
-any walks, closed or open, starting anywhere.
+any walks, closed or open, starting anywhere. The rows that the CLI
+composes from a reveal's doubling records (``solver._lasso_row``) must be
+the rows those walks read to.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from odograph import (
     Graph,
+    IdentityTrace,
     InconsistentMeasurementsError,
     RankDeficientError,
     RevealCertificate,
@@ -25,10 +29,18 @@ from odograph import (
     recover_weights,
     reveal_all,
 )
-from odograph.solver import _Echelon, _pool_certificate_walks, _potential_row, _potentials
+from odograph.solver import (
+    _Echelon,
+    _lasso_row,
+    _pool_certificate_walks,
+    _potential_row,
+    _potentials,
+    _select_basis,
+)
 from odograph.walks import _edge_usage
 
-from test_deep_graphs import prism
+from conftest import random_blocky_edges, random_min_deg3_edges
+from test_deep_graphs import moebius_ladder, prism
 
 
 @st.composite
@@ -153,3 +165,51 @@ def test_rows_stay_short_however_deep():
     for w in pool:
         row = {j: c for j, c in _potential_row(coords, _edge_usage(g, w)).items() if c}
         assert len(row) <= 12
+
+
+def _nonzero(row):
+    return {j: c for j, c in row.items() if c}
+
+
+def _check_lasso_rows(g, start):
+    """Every record's composed rows are the read rows of its two walks, and
+    selection with the trace picks what selection by reading picks."""
+    trace = IdentityTrace()
+    certs = reveal_all(g, start, trace)
+    coords = _potentials(g, start)
+    assert trace.doublings
+    for rec in trace.doublings:
+        cycle_row = _potential_row(coords, _edge_usage(g, rec.cycle))
+        for k, walk in ((1, rec.conjugate_once), (2, rec.conjugate_twice)):
+            read = _potential_row(coords, _edge_usage(g, walk))
+            assert _nonzero(_lasso_row(g, coords, rec.base, cycle_row, k)) == _nonzero(read)
+    basis, selection = _select_basis(g, certs, trace)
+    assert basis == extract_minimal_basis(g, certs)
+    assert [_nonzero(row) for row in selection.rows] == [
+        _nonzero(_potential_row(coords, _edge_usage(g, w))) for w in basis
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["k4", "petersen", "g_2k4cut", "g_bridge", "star_of_k4s", "chain3_k4s", "h_bridge"]
+)
+def test_lasso_rows_are_the_read_rows_from_every_start(name, request):
+    g = request.getfixturevalue(name)
+    for start in range(g.vertex_count):
+        _check_lasso_rows(g, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("random", "blocky", "prism", "moebius")), st.integers(0, 10**6))
+def test_lasso_rows_are_the_read_rows_on_sampled_graphs(kind, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        n = rng.randrange(4, 14)
+        g = Graph(n, random_min_deg3_edges(rng, n))
+    elif kind == "blocky":
+        edges = random_blocky_edges(rng, rng.randrange(1, 5))
+        g = Graph(1 + max(v for e in edges for v in e), edges)
+    else:
+        g = Graph(*(prism if kind == "prism" else moebius_ladder)(rng.randrange(3, 9)))
+    for start in range(g.vertex_count):
+        _check_lasso_rows(g, start)
