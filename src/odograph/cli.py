@@ -31,6 +31,12 @@ written straight from the certificates, basis and readings by fixed
 templates of their two schemas (see the README), one join per walk, and
 are byte for byte what ``json.dumps(payload, indent=2)`` writes for the
 same lists and dicts.
+
+``enumerate`` reads the span straight from the walk search, which stops
+once the span is full. Its count is twice the walks the span read when the
+search ran to the end, and otherwise the transfer count, so a full span
+never waits for the rest of an exponential enumeration; ``--list`` alone
+runs the whole search, a second time.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from fractions import Fraction
 
 from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
-from .oracle import Odometer, iter_closed_nb_walks, one_per_reversal, span_report
+from .oracle import Odometer, _count_closed_nb_walks, _searched_span, iter_closed_nb_walks
 from .revealer import IdentityTrace, reveal_all
 from .solver import _select_basis, _solve
 
@@ -294,17 +300,14 @@ def cmd_recover(g: Graph, args: argparse.Namespace) -> int:
 
 def cmd_enumerate(g: Graph, args: argparse.Namespace) -> int:
     cap = args.max_len if args.max_len is not None else 2 * g.edge_count + 3
-    walks = iter_closed_nb_walks(g, args.start, cap)
-    read = 0
-
-    def counted():
-        nonlocal read
-        for read, w in enumerate(walks, 1):
-            yield w
-
-    # one lazy pass: the span stops reading at full rank, and the rest is counted
-    report = span_report(g, one_per_reversal(counted()))
-    count = read + sum(1 for _ in walks)
+    report, halves = _searched_span(g, args.start, cap)
+    # a span short of full rank read the whole search, one walk of each
+    # reversed pair; a full one may have stopped it early, and then the
+    # transfer count counts the walks instead
+    if report.rank < g.edge_count:
+        count = 2 * halves
+    else:
+        count = _count_closed_nb_walks(g, args.start, cap)
     print(f"closed non-backtracking walks from {args.start} with at most {cap} edges: {count}")
     if args.list:
         for w in iter_closed_nb_walks(g, args.start, cap):

@@ -30,7 +30,7 @@ class Graph:
     duplicate edges, and out-of-range endpoints.
     """
 
-    __slots__ = ("_n", "_edges", "_weights", "_ids", "_incident", "_neighbors")
+    __slots__ = ("_n", "_edges", "_weights", "_adjacent", "_incident", "_neighbors")
 
     def __init__(
         self,
@@ -42,24 +42,21 @@ class Graph:
             raise ValueError("vertex_count must be nonnegative")
         self._n = int(vertex_count)
         normalized: list[tuple[int, int]] = []
-        ids: dict[tuple[int, int], int] = {}
-        incident: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
+        # per vertex {neighbour: edge id}; walks read their steps from these
+        adjacent: list[dict[int, int]] = [{} for _ in range(self._n)]
         for u, v in edges:
             if not (0 <= u < self._n and 0 <= v < self._n):
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{self._n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             key = (u, v) if u < v else (v, u)
-            if key in ids:
+            if v in adjacent[u]:
                 raise ValueError(f"duplicate edge {{{key[0]},{key[1]}}}")
-            eid = len(normalized)
-            ids[key] = eid
+            adjacent[u][v] = adjacent[v][u] = len(normalized)
             normalized.append(key)
-            incident[u].append((v, eid))
-            incident[v].append((u, eid))
         self._edges = tuple(normalized)
-        self._ids = ids
-        self._incident = tuple(tuple(sorted(pairs)) for pairs in incident)
+        self._adjacent = tuple(adjacent)
+        self._incident = tuple(tuple(sorted(pairs.items())) for pairs in adjacent)
         self._neighbors = tuple(tuple(u for u, _ in pairs) for pairs in self._incident)
         if weights is None:
             self._weights = None
@@ -92,11 +89,10 @@ class Graph:
         return self._weights is not None
 
     def edge_id(self, u: int, v: int) -> int:
+        if 0 <= u < self._n and v in self._adjacent[u]:
+            return self._adjacent[u][v]
         key = (u, v) if u < v else (v, u)
-        try:
-            return self._ids[key]
-        except KeyError:
-            raise KeyError(f"no edge {{{key[0]},{key[1]}}}") from None
+        raise KeyError(f"no edge {{{key[0]},{key[1]}}}")
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return self._edges[edge_id]
@@ -119,7 +115,7 @@ class Graph:
     def without_weights(self) -> "Graph":
         # the tables are never mutated after construction, so they are shared
         bare = object.__new__(Graph)
-        bare._n, bare._edges, bare._ids = self._n, self._edges, self._ids
+        bare._n, bare._edges, bare._adjacent = self._n, self._edges, self._adjacent
         bare._incident, bare._neighbors = self._incident, self._neighbors
         bare._weights = None
         return bare

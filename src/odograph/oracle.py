@@ -2,15 +2,18 @@
 
 The Odometer simulates the only instrument the problem allows: it answers
 the total weight of a closed non-backtracking walk submitted from its home
-vertex, and counts how many measurements were taken. The enumerator walks
-every closed non-backtracking walk from a vertex up to an edge-count cap,
-pruning steps too far from home to close in time. Such an enumeration
-holds each walk's reverse, which uses every edge as often, so its
-consumers read one of each pair (``one_per_reversal``) and remember
-nothing. The span report, once the span's orthogonal complement is small,
-keeps a basis of it: a walk lies in the span iff it is orthogonal to that
-basis, an exact integer test. Together they give an independent way to
-check what is and is not recoverable on small graphs.
+vertex, and counts how many measurements were taken. One depth-first search
+walks every closed non-backtracking walk from a vertex up to an edge-count
+cap, pruning steps too far from home to close in time, and knows the edge
+id of each step it takes. Such an enumeration holds each walk's reverse,
+which uses every edge as often, so its consumers read one of each pair
+(``one_per_reversal``) and remember nothing. The span core reads walks as
+edge ids; once the span's orthogonal complement is small, it keeps a basis
+of it and tests a walk against every relation at once, by one exact
+integer sum over its steps. The number of walks within a cap is also
+counted without enumerating them, by a non-backtracking transfer count.
+Together they give an independent way to check what is and is not
+recoverable on small graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import InvalidWalkError, PreconditionError, RejectedWalkError
 from .graph import Graph, bfs_forest
 from .solver import _Echelon
-from .walks import Walk, _edge_usage
+from .walks import Walk, _edge_ids, _edge_usage
 
 
 class Odometer:
@@ -67,14 +70,13 @@ class Odometer:
         return Fraction(sum(c * self._numer[e] for e, c in usage.items()), self._denom)
 
 
-def iter_closed_nb_walks(g: Graph, home: int, max_edges: int) -> Iterator[Walk]:
-    """Yield every closed non-backtracking walk from home, lexicographically.
+def _closed_walks(g: Graph, home: int, max_edges: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The depth-first search behind ``iter_closed_nb_walks``.
 
-    Walks use at most max_edges edges. The empty walk is not produced; in a
-    simple graph the shortest closed non-backtracking walk has 3 edges. A
-    step to y is not taken when the edges used so far plus y's breadth-first
-    distance home exceed the cap: no walk through it can close in time, so
-    the walks yielded, and their order, are those of the unpruned search.
+    Yields each closed non-backtracking walk from home as its vertices and
+    the edge ids of its steps, both read from ``g.incident`` as it steps.
+    The two lists are the search's own: they change once it resumes, so a
+    consumer copies what it keeps.
     """
     if not 0 <= home < g.vertex_count:
         raise PreconditionError(f"start vertex {home} out of range")
@@ -84,20 +86,38 @@ def iter_closed_nb_walks(g: Graph, home: int, max_edges: int) -> Iterator[Walk]:
     for v, link in bfs_forest(g, (home,)).items():
         dist[v] = 0 if link is None else dist[link[0]] + 1
     walk = [home]
-    iters = [iter(g.neighbors(home))]
+    ids: list[int] = []
+    iters = [iter(g.incident(home))]
     while iters:
-        for y in iters[-1]:
+        for y, e in iters[-1]:
             # len(walk) is the edge count once y is stepped to
-            if len(walk) + dist[y] > max_edges or (len(walk) >= 2 and y == walk[-2]):
+            if len(walk) + dist[y] > max_edges or (ids and e == ids[-1]):
                 continue
             walk.append(y)
+            ids.append(e)
             if y == home and len(walk) >= 4:
-                yield tuple(walk)
-            iters.append(iter(g.neighbors(y)))
+                yield walk, ids
+            iters.append(iter(g.incident(y)))
             break
         else:
             iters.pop()
             walk.pop()
+            if ids:
+                ids.pop()
+
+
+def iter_closed_nb_walks(g: Graph, home: int, max_edges: int) -> Iterator[Walk]:
+    """Yield every closed non-backtracking walk from home, lexicographically.
+
+    Walks use at most max_edges edges. The empty walk is not produced; in a
+    simple graph the shortest closed non-backtracking walk has 3 edges. A
+    step to y is not taken when the edges used so far plus y's breadth-first
+    distance home exceed the cap: no walk through it can close in time, so
+    the walks yielded, and their order, are those of the unpruned search.
+    The search (``_closed_walks``) also knows each step's edge id, which
+    ``revealable_span`` reads instead of looking the walk up again.
+    """
+    return (tuple(walk) for walk, _ in _closed_walks(g, home, max_edges))
 
 
 def enumerate_closed_nb_walks(g: Graph, home: int, max_edges: int) -> list[Walk]:
@@ -144,26 +164,49 @@ def _report(edge_count: int, echelon: _Echelon) -> SpanReport:
     return SpanReport(echelon.rank, tuple(relations))
 
 
-def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
-    """Rank and invisible directions for a collection of walks.
+def _pack(complement: list[Sequence[int]], longest: int) -> list[int]:
+    """Every relation's coefficients at once: P[e] = sum of r_i[e] * 2**(b*i).
 
-    Every walk given is read, as sparse usage counts, so the answer holds for
-    any collection; an enumeration is passed through ``one_per_reversal``
-    first, which halves the reads and keeps nothing. Once a walk is
-    dependent while the |E| - rank relations of ``_report`` hold no more
-    entries than the stored rows, those relations are kept as a basis of the
-    span's orthogonal complement: a later walk lies in the span exactly when
-    its integer dot product with each is zero, and is then skipped.
-    Otherwise it is stored, and one elimination step on a relation it breaks
-    keeps the rest a basis. Walks are read only until the rank reaches |E|;
-    then the report is (|E|, ()) whatever walks follow.
+    With 2**b > longest * max |r_i[e]|, a walk of at most longest edges has
+    digit i of its sum of P[e] over its steps equal to its dot product d_i
+    with relation i; the sum is zero exactly when every d_i is, since the
+    lowest nonzero d_i would have to be a multiple of 2**b.
     """
-    m = g.edge_count
+    b = (longest * max(abs(x) for r in complement for x in r)).bit_length()
+    return [sum(r[e] << (b * i) for i, r in enumerate(complement)) for e in range(len(complement[0]))]
+
+
+def _span(m: int, walks: Iterable[Sequence[int]]) -> tuple[SpanReport, int]:
+    """The span report over walks given as the edge ids of their steps, and
+    how many walks were read.
+
+    Each walk is eliminated as sparse usage counts. Once a walk is dependent
+    while the m - rank relations of ``_report`` hold no more entries than
+    the stored rows, those relations are kept as a basis of the span's
+    orthogonal complement, and every later walk is tested against all of
+    them by one sum over its steps (``_pack``). A walk in the span is
+    skipped; one that breaks a relation is stored, and one elimination step
+    on the first relation it breaks keeps the rest a basis. So the echelon
+    ends holding exactly the walks a plain greedy elimination keeps, in
+    order. Walks are read only until the rank reaches m; then the report is
+    (m, ()) whatever walks follow.
+    """
     echelon = _Echelon()
     stored = 0  # entries in the echelon's rows
     complement: list[Sequence[int]] | None = None
-    for w in walks:
-        usage = _edge_usage(g, w)
+    packed: list[int] | None = None
+    longest = 0  # the walk length packed is sized for
+    read = 0
+    for read, ids in enumerate(walks, 1):
+        if complement is not None:
+            if packed is None or len(ids) > longest:
+                longest = max(longest, len(ids))
+                packed = _pack(complement, longest)
+            if not sum(map(packed.__getitem__, ids)):
+                continue
+        usage: dict[int, int] = {}
+        for e in ids:
+            usage[e] = usage.get(e, 0) + 1
         if complement is None:
             if echelon.add(usage):
                 stored += len(next(reversed(echelon.rows.values())))
@@ -171,9 +214,7 @@ def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
                 complement = list(_report(m, echelon).relations)
         else:
             dots = [sum(c * r[e] for e, c in usage.items()) for r in complement]
-            p = next((i for i, d in enumerate(dots) if d), None)
-            if p is None:
-                continue
+            p = next(i for i, d in enumerate(dots) if d)
             echelon.add(usage)
             pivot, a = complement.pop(p), dots.pop(p)
             for i, d in enumerate(dots):
@@ -182,17 +223,65 @@ def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
                     v = [a // k * x - d // k * y for x, y in zip(complement[i], pivot)]
                     k = gcd(*v)
                     complement[i] = [x // k for x in v]
+            packed = None
         if echelon.rank == m:
-            return SpanReport(m, ())
-    return _report(m, echelon)
+            return SpanReport(m, ()), read
+    return _report(m, echelon), read
+
+
+def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
+    """Rank and invisible directions for a collection of walks.
+
+    Every walk given is read and validated once, as the edge ids of its
+    steps, so the answer holds for any collection; an enumeration is passed
+    through ``one_per_reversal`` first, which halves the reads and keeps
+    nothing. ``_span`` eliminates them, and tests each walk against the
+    span's orthogonal complement once that is small; it stops reading at
+    full rank.
+    """
+    return _span(g.edge_count, (_edge_ids(g, w) for w in walks))[0]
+
+
+def _searched_span(g: Graph, home: int, max_edges: int) -> tuple[SpanReport, int]:
+    """``_span`` over the walks w <= w[::-1] the search finds from home, one
+    of each reversed pair, as the edge ids the search holds, and how many
+    of those it read. Nothing is kept, so memory does not grow with the
+    enumeration."""
+    halves = (ids for walk, ids in _closed_walks(g, home, max_edges) if walk <= walk[::-1])
+    return _span(g.edge_count, halves)
 
 
 def revealable_span(g: Graph, home: int, max_edges: int) -> SpanReport:
     """Span of everything measurable from home within an edge-count cap.
 
-    ``span_report`` over one of each reversed pair of the closed
-    non-backtracking walks from home with at most max_edges edges,
-    enumerated lazily, so memory does not grow with the enumeration and it
-    stops as soon as the span fills all |E| directions.
+    The span of the closed non-backtracking walks from home with at most
+    max_edges edges, read as one of each reversed pair straight from the
+    search's edge ids; the search stops as soon as the span fills all |E|
+    directions.
     """
-    return span_report(g, one_per_reversal(iter_closed_nb_walks(g, home, max_edges)))
+    return _searched_span(g, home, max_edges)[0]
+
+
+def _count_closed_nb_walks(g: Graph, home: int, max_edges: int) -> int:
+    """How many closed non-backtracking walks from home have at most
+    max_edges edges: ``len(enumerate_closed_nb_walks(...))`` without the
+    enumeration.
+
+    A non-backtracking transfer count in exact integers, one length at a
+    time, in O(max_edges * |E|): ends[b] is the number of non-backtracking
+    walks from home of the current length whose last step is arc b. Arc 2e
+    runs along edge e from its lower endpoint, arc 2e + 1 back. A walk
+    ending on arc b goes on along every arc from b's head except b ^ 1, and
+    every walk arriving home is closed; none of fewer than 3 edges does.
+    """
+    tails = [v for edge in g.edges for v in edge]
+    heads = [v for lo, hi in g.edges for v in (hi, lo)]
+    ends = [int(t == home) for t in tails]
+    total = 0
+    for _ in range(max_edges):
+        arriving = [0] * g.vertex_count
+        for h, c in zip(heads, ends):
+            arriving[h] += c
+        total += arriving[home]
+        ends = [arriving[t] - ends[b ^ 1] for b, t in enumerate(tails)]
+    return total

@@ -242,9 +242,10 @@ def _lasso_row(
     and the columns of base's last edge.
     """
     row = {j: k * c for j, c in cycle_row.items()}
-    stem = [coords[g.edge_id(base[-2], base[-1])]]
+    adjacent = g._adjacent
+    stem = [coords[adjacent[base[-2]][base[-1]]]]
     if len(base) > 2:
-        stem.append((coords[g.edge_id(base[-3], base[-2])][0], None))
+        stem.append((coords[adjacent[base[-3]][base[-2]]][0], None))
     for plus, minus in stem:
         row[plus] = row.get(plus, 0) + 2
         if minus is not None:

@@ -51,28 +51,40 @@ def reverse(w: Walk) -> Walk:
     return w[::-1]
 
 
-def _edge_usage(g: Graph, w: Walk) -> dict[int, int]:
-    """How many times the walk uses each edge it uses, as ``{edge id: count}``.
+def _edge_ids(g: Graph, w: Walk) -> list[int]:
+    """The edge id of each step of the walk, in order.
 
-    Raises InvalidWalkError unless w is a valid non-backtracking walk. The
-    check and the count take one pass with one edge lookup per step: a
-    missing edge or an out-of-range vertex fails the lookup, and so does a
-    step straight back along the previous edge.
+    Raises InvalidWalkError unless w is a valid non-backtracking walk. Each
+    step is one read of the graph's ``{neighbour: edge id}`` map at the
+    vertex it leaves: a missing edge fails the read, and so does a step
+    straight back along the previous edge. Only the first vertex needs a
+    range check, since every later one was found in such a map.
     """
-    counts: dict[int, int] = {}
+    adjacent = g._adjacent
+    ids = []
     back = None
     try:
+        if not 0 <= w[0] < len(adjacent):
+            raise KeyError(w[0])
         for a, b in zip(w, w[1:]):
             if b == back:
                 raise KeyError(b)
             back = a
-            e = g.edge_id(a, b)
-            counts[e] = counts.get(e, 0) + 1
-    except KeyError:
-        counts = {}
-    # no counts: a failure, or a walk of one vertex, which must be in range
-    if not counts and not (len(w) == 1 and 0 <= w[0] < g.vertex_count):
-        raise InvalidWalkError(f"not a valid non-backtracking walk: {list(w)}")
+            ids.append(adjacent[a][b])
+    except (KeyError, IndexError):  # IndexError: no vertex at all
+        raise InvalidWalkError(f"not a valid non-backtracking walk: {list(w)}") from None
+    return ids
+
+
+def _edge_usage(g: Graph, w: Walk) -> dict[int, int]:
+    """How many times the walk uses each edge it uses, as ``{edge id: count}``.
+
+    Raises InvalidWalkError unless w is a valid non-backtracking walk; the
+    check and the count take one pass over ``_edge_ids``.
+    """
+    counts: dict[int, int] = {}
+    for e in _edge_ids(g, w):
+        counts[e] = counts.get(e, 0) + 1
     return counts
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,11 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import odograph
 from odograph import (
+    Graph,
     GraphFormatError,
     Odometer,
     enumerate_closed_nb_walks,
@@ -28,7 +30,7 @@ from odograph import (
 from odograph.cli import main, parse_graph_text
 from odograph.revealer import RevealCertificate
 
-from conftest import random_min_deg3_edges, random_weights
+from conftest import random_min_deg3_edges, random_sparse_low_degree_edges, random_weights
 from test_acceptance import _graph_text
 
 K4_TEXT = textwrap.dedent(
@@ -635,9 +637,10 @@ def test_enumerate_counts_and_lists_the_whole_enumeration(graph_file, capsys, te
 
 
 def test_enumerate_holds_no_enumeration(graph_file, capsys):
-    """enumerate counts its walks while the span reads them, so its memory
-    does not grow with the enumeration: 74,032 walks, which would take
-    about 15 MB as a list, peak under 2 MB."""
+    """enumerate reads the span straight from the search, which holds one
+    walk at a time, and a span that never fills counts the walks it read,
+    so its memory does not grow with the enumeration: 74,032 walks, which
+    would take about 15 MB as a list, peak under 2 MB."""
     path = graph_file(SUBDIV_K4_TEXT)
     tracemalloc.start()
     try:
@@ -649,6 +652,51 @@ def test_enumerate_holds_no_enumeration(graph_file, capsys):
         "closed non-backtracking walks from 0 with at most 19 edges: 74032\n"
     )
     assert peak < 2 * 2**20
+
+
+# the graph file and captured output are rewritten and read in each example
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_enumerate_count_is_the_enumeration_length(graph_file, capsys, data):
+    """The printed count is len(enumerate_closed_nb_walks(...)) on random
+    graphs with and without vertices of degree 1 or 2: the walks read when
+    the span never fills, the transfer count when it fills early."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(3, 7))
+        edges = random_sparse_low_degree_edges(rng, n, data.draw(st.integers(0, 4)))
+    else:
+        n = data.draw(st.integers(4, 6))
+        edges = random_min_deg3_edges(rng, n)
+    g = Graph(n, edges, [1] * len(edges))
+    start = data.draw(st.integers(0, n - 1))
+    cap = data.draw(st.integers(3, 12))
+    path = graph_file(_graph_text(g))
+    assert main(["enumerate", path, "--start", str(start), "--max-len", str(cap)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith(f" edges: {len(enumerate_closed_nb_walks(g, start, cap))}")
+
+
+def test_enumerate_petersen_at_the_default_cap_stops_at_full_rank(graph_file):
+    """Petersen from 0 at cap 33 has 2,576,968,548 closed walks, which take
+    over an hour to enumerate; the span is full after a few dozen, and the
+    count comes from the transfer count. A subprocess with a timeout makes
+    a regression fail instead of hanging."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    text = _graph_text(Graph(10, outer + inner + spokes, range(2, 17)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "odograph", "enumerate", graph_file(text)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (
+        "closed non-backtracking walks from 0 with at most 33 edges: 2576968548\n"
+        "edges: 15\n"
+        "rank: 15 of 15 (full)\n"
+    )
 
 
 # -------------------------------------------------------------- determinism

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from odograph import (
     Graph,
+    InvalidWalkError,
     Odometer,
     PreconditionError,
     RejectedWalkError,
@@ -17,6 +18,7 @@ from odograph import (
     edge_multiplicities,
     enumerate_closed_nb_walks,
     extract_minimal_basis,
+    is_valid_nb_walk,
     rational_rank,
     reveal_all,
     revealable_span,
@@ -24,7 +26,15 @@ from odograph import (
     walk_weight,
 )
 import odograph.oracle
-from odograph.oracle import SpanReport, _report, iter_closed_nb_walks, one_per_reversal
+from odograph.oracle import (
+    SpanReport,
+    _count_closed_nb_walks,
+    _pack,
+    _report,
+    _span,
+    iter_closed_nb_walks,
+    one_per_reversal,
+)
 from odograph.solver import _Echelon, _pool_certificate_walks
 from conftest import (
     brute_closed_nb_walks,
@@ -517,3 +527,104 @@ def test_span_report_on_a_full_rank_certificate_pool(basis_first, report_calls):
     report = span_report(g, walks)
     assert (report_calls == []) == basis_first
     assert report == span_report_before(g, [tuple(w) for w in walks]) == SpanReport(254, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_revealable_span_matches_the_enumeration_from_every_start(data):
+    """The span read from the search's edge ids is the span of the listed
+    enumeration and of the dense loop, from every start of random graphs
+    with and without vertices of degree 1 or 2."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(3, 7))
+        g = Graph(n, random_sparse_low_degree_edges(rng, n, data.draw(st.integers(0, 4))))
+    else:
+        n = data.draw(st.integers(4, 6))
+        g = Graph(n, random_min_deg3_edges(rng, n))
+    cap = data.draw(st.integers(3, 12))
+    for home in range(n):
+        walks = enumerate_closed_nb_walks(g, home, cap)
+        report = revealable_span(g, home, cap)
+        assert report == span_report(g, walks) == span_report_before(g, walks)
+
+
+@pytest.mark.parametrize("name", ["k4", "c5", "petersen", "subdivided_k4", "tree", "disconnected"])
+def test_transfer_count_is_the_enumeration_length(name, request):
+    """At every cap from 0 to 20, from every start but where a start is like
+    one already taken (K4 and Petersen are vertex-transitive, and the
+    disconnected graph's K4 is the first case); the enumeration at cap 20
+    holds those of every lower cap, so it is read once per start and
+    counted by length."""
+    g = {"tree": _TREE, "disconnected": _DISCONNECTED}.get(name) or request.getfixturevalue(name)
+    starts = {"k4": (0,), "petersen": (0, 7), "disconnected": (4, 5, 7)}.get(name, range(g.vertex_count))
+    for home in starts:
+        by_length = [0] * 21
+        for w in iter_closed_nb_walks(g, home, 20):
+            by_length[len(w) - 1] += 1
+        for cap in range(21):
+            assert _count_closed_nb_walks(g, home, cap) == sum(by_length[: cap + 1])
+    if name == "tree":
+        assert _count_closed_nb_walks(g, 0, 20) == 0
+
+
+def _packed_agrees(relations, longest, ids):
+    packed = _pack(relations, longest)
+    in_span = all(sum(r[e] for e in ids) == 0 for r in relations)
+    return (sum(packed[e] for e in ids) == 0) == in_span
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_test_agrees_with_dot_products(data):
+    """A walk's sum over its steps of the packed coefficients is zero
+    exactly when its dot product with every relation is, for coefficients
+    up to 10**6 and walks of up to 200 edges: random walks, one that
+    cancels every relation, and one whose dot products are 2**(b - 1) and
+    -1 for the packing's b, which a base of b - 1 bits would take for zero."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    m = data.draw(st.integers(2, 30))
+    k = data.draw(st.integers(2, 5))
+    longest = data.draw(st.integers(3, 200).filter(lambda x: x & (x - 1)))  # not a power of 2
+    big = data.draw(st.sampled_from([3, 2**19, 10**6]))
+    relations = [[rng.randint(-big, big) for _ in range(m)] for _ in range(k)]
+    for r in relations:
+        r[1] = -r[0]  # edges 0 and 1 cancel in every relation
+    walks = [[0, 1] * (longest // 2)]
+    walks += [[rng.randrange(m) for _ in range(rng.randint(0, longest))] for _ in range(10)]
+    for ids in walks:
+        assert _packed_agrees(relations, longest, ids)
+    # max |r| = 2**19 at edge 0 of relation 0, and -1 at edge 1 of relation 1
+    tight = [[0, 0] + [rng.randint(-(2**19), 2**19) for _ in range(m - 2)] for _ in range(k)]
+    tight[0][0], tight[1][1] = 2**19, -1
+    ids = [0] * 2 ** (longest.bit_length() - 1) + [1]
+    assert [sum(r[e] for e in ids) for r in tight[:2]] == [2 ** ((longest * 2**19).bit_length() - 1), -1]
+    assert _packed_agrees(tight, longest, ids)
+
+
+def test_span_repacks_for_a_walk_longer_than_the_packing(report_calls):
+    """Walks as edge ids on 6 edges. The first four span {u : u0 = u1, u2 = u3}
+    in 13 stored entries, so the dependent fifth builds the complement
+    (-1, 1, 0, 0, 0, 0), (0, 0, -1, 1, 0, 0); the sixth, of 2 edges, is in
+    the span and sizes the packing for 2 edges (b = 2). The seventh, 1^4 2,
+    has dot products 4 and -1, which that packing sums to zero; it is
+    independent, so a span that does not repack for it misses a rank."""
+    walks = [[0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 5], [4, 5, 5, 5], [5], [0, 1], [1, 0], [1, 1, 1, 1, 2]]
+    stale = _pack([(-1, 1, 0, 0, 0, 0), (0, 0, -1, 1, 0, 0)], 2)
+    assert sum(stale[e] for e in walks[-1]) == 0
+    echelon = _Echelon()
+    for ids in walks:
+        echelon.add({e: ids.count(e) for e in ids})
+    assert echelon.rank == 5
+    assert _span(6, walks) == (_report(6, echelon), 7)
+    assert report_calls == [4, 5]
+
+
+def test_negative_first_vertex_is_rejected(k4):
+    """-1 would index the last vertex's neighbour map; (3, 0, 1) is a walk."""
+    assert not is_valid_nb_walk(k4, (-1, 0, 1))
+    meter = Odometer(k4, 0)
+    with pytest.raises(RejectedWalkError, match="not a non-backtracking walk"):
+        meter.measure((-1, 0, 1))
+    with pytest.raises(InvalidWalkError):
+        span_report(k4, [(0, 1, 2, 0), (-1, 0, 1)])
