@@ -23,8 +23,9 @@ limit.
 parsed arguments to the handler its subcommand names; it alone turns
 errors into exit codes: 0 success/affirmative, 1 domain-negative (not
 odometric, recovery mismatch), 2 usage or parse error, a transcript that
-cannot be written, or stdout closed early. Output ordering is
-deterministic, so identical invocations produce byte-identical output.
+cannot be written, a walk count too long to print, or stdout closed early.
+Output ordering is deterministic, so identical invocations produce
+byte-identical output.
 
 ``reveal --format json`` and the ``recover --oracle-transcript`` file are
 written straight from the certificates, basis and readings by fixed
@@ -33,10 +34,9 @@ are byte for byte what ``json.dumps(payload, indent=2)`` writes for the
 same lists and dicts.
 
 ``enumerate`` reads the span straight from the walk search, which stops
-once the span is full. Its count is twice the walks the span read when the
-search ran to the end, and otherwise the transfer count, so a full span
-never waits for the rest of an exponential enumeration; ``--list`` alone
-runs the whole search, a second time.
+once the span is full, and counts the walks by the non-backtracking
+transfer count, so a full span never waits for the rest of an exponential
+enumeration; ``--list`` alone runs the whole search, a second time.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
-from .oracle import Odometer, _count_closed_nb_walks, _searched_span, iter_closed_nb_walks
+from .oracle import Odometer, _count_closed_nb_walks, iter_closed_nb_walks, revealable_span
 from .revealer import IdentityTrace, reveal_all
 from .solver import _select_basis, _solve
 
@@ -300,15 +300,14 @@ def cmd_recover(g: Graph, args: argparse.Namespace) -> int:
 
 def cmd_enumerate(g: Graph, args: argparse.Namespace) -> int:
     cap = args.max_len if args.max_len is not None else 2 * g.edge_count + 3
-    report, halves = _searched_span(g, args.start, cap)
-    # a span short of full rank read the whole search, one walk of each
-    # reversed pair; a full one may have stopped it early, and then the
-    # transfer count counts the walks instead
-    if report.rank < g.edge_count:
-        count = 2 * halves
-    else:
-        count = _count_closed_nb_walks(g, args.start, cap)
-    print(f"closed non-backtracking walks from {args.start} with at most {cap} edges: {count}")
+    report = revealable_span(g, args.start, cap)
+    count = _count_closed_nb_walks(g, args.start, cap)
+    try:
+        line = f"closed non-backtracking walks from {args.start} with at most {cap} edges: {count}"
+    except ValueError:  # str() of an int past the int-string digit limit
+        print(f"error: walk count exceeds the {sys.get_int_max_str_digits()}-digit limit", file=sys.stderr)
+        return 2
+    print(line)
     if args.list:
         for w in iter_closed_nb_walks(g, args.start, cap):
             print(f"  {_fmt_walk(w)}")

@@ -115,7 +115,8 @@ def iter_closed_nb_walks(g: Graph, home: int, max_edges: int) -> Iterator[Walk]:
     distance home exceed the cap: no walk through it can close in time, so
     the walks yielded, and their order, are those of the unpruned search.
     The search (``_closed_walks``) also knows each step's edge id, which
-    ``revealable_span`` reads instead of looking the walk up again.
+    ``revealable_span`` reads instead of looking the walk up again; the
+    walks are counted without either, by ``_count_closed_nb_walks``.
     """
     return (tuple(walk) for walk, _ in _closed_walks(g, home, max_edges))
 
@@ -176,9 +177,8 @@ def _pack(complement: list[Sequence[int]], longest: int) -> list[int]:
     return [sum(r[e] << (b * i) for i, r in enumerate(complement)) for e in range(len(complement[0]))]
 
 
-def _span(m: int, walks: Iterable[Sequence[int]]) -> tuple[SpanReport, int]:
-    """The span report over walks given as the edge ids of their steps, and
-    how many walks were read.
+def _span(m: int, walks: Iterable[Sequence[int]]) -> SpanReport:
+    """The span report over walks given as the edge ids of their steps.
 
     Each walk is eliminated as sparse usage counts. Once a walk is dependent
     while the m - rank relations of ``_report`` hold no more entries than
@@ -196,8 +196,7 @@ def _span(m: int, walks: Iterable[Sequence[int]]) -> tuple[SpanReport, int]:
     complement: list[Sequence[int]] | None = None
     packed: list[int] | None = None
     longest = 0  # the walk length packed is sized for
-    read = 0
-    for read, ids in enumerate(walks, 1):
+    for ids in walks:
         if complement is not None:
             if packed is None or len(ids) > longest:
                 longest = max(longest, len(ids))
@@ -225,8 +224,8 @@ def _span(m: int, walks: Iterable[Sequence[int]]) -> tuple[SpanReport, int]:
                     complement[i] = [x // k for x in v]
             packed = None
         if echelon.rank == m:
-            return SpanReport(m, ()), read
-    return _report(m, echelon), read
+            return SpanReport(m, ())
+    return _report(m, echelon)
 
 
 def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
@@ -234,21 +233,12 @@ def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
 
     Every walk given is read and validated once, as the edge ids of its
     steps, so the answer holds for any collection; an enumeration is passed
-    through ``one_per_reversal`` first, which halves the reads and keeps
-    nothing. ``_span`` eliminates them, and tests each walk against the
-    span's orthogonal complement once that is small; it stops reading at
-    full rank.
+    through ``one_per_reversal`` first, which reads half the walks and
+    keeps nothing. ``_span`` eliminates them, and tests each walk against
+    the span's orthogonal complement once that is small; it stops reading
+    at full rank.
     """
-    return _span(g.edge_count, (_edge_ids(g, w) for w in walks))[0]
-
-
-def _searched_span(g: Graph, home: int, max_edges: int) -> tuple[SpanReport, int]:
-    """``_span`` over the walks w <= w[::-1] the search finds from home, one
-    of each reversed pair, as the edge ids the search holds, and how many
-    of those it read. Nothing is kept, so memory does not grow with the
-    enumeration."""
-    halves = (ids for walk, ids in _closed_walks(g, home, max_edges) if walk <= walk[::-1])
-    return _span(g.edge_count, halves)
+    return _span(g.edge_count, (_edge_ids(g, w) for w in walks))
 
 
 def revealable_span(g: Graph, home: int, max_edges: int) -> SpanReport:
@@ -256,10 +246,12 @@ def revealable_span(g: Graph, home: int, max_edges: int) -> SpanReport:
 
     The span of the closed non-backtracking walks from home with at most
     max_edges edges, read as one of each reversed pair straight from the
-    search's edge ids; the search stops as soon as the span fills all |E|
+    search's edge ids; nothing is kept, so memory does not grow with the
+    enumeration, and the search stops as soon as the span fills all |E|
     directions.
     """
-    return _searched_span(g, home, max_edges)[0]
+    one_each = (ids for walk, ids in _closed_walks(g, home, max_edges) if walk <= walk[::-1])
+    return _span(g.edge_count, one_each)
 
 
 def _count_closed_nb_walks(g: Graph, home: int, max_edges: int) -> int:

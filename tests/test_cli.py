@@ -622,12 +622,13 @@ def test_enumerate_bad_start(graph_file, capsys):
 
 @pytest.mark.parametrize(
     "text,start,cap",
-    [(K4_TEXT, 0, 8), (SUBDIV_K4_TEXT, 4, 12), (SUBDIV_K4_TEXT, 0, 12)],
-    ids=["K4 full early", "subdivided K4 from 4, full early", "subdivided K4 from 0, never full"],
+    [(K4_TEXT, 0, 8), (SUBDIV_K4_TEXT, 4, 12), (SUBDIV_K4_TEXT, 0, 12), (K4_TEXT, 0, 2)],
+    ids=["K4 full early", "subdivided K4 from 4, full early", "subdivided K4 from 0, never full", "K4 below 3"],
 )
 def test_enumerate_counts_and_lists_the_whole_enumeration(graph_file, capsys, text, start, cap):
     """The count and the listed walks are the whole enumeration's, also
-    when the span fills every direction before the last walk."""
+    when the span fills every direction before the last walk and when the
+    cap is too short for any walk."""
     walks = enumerate_closed_nb_walks(parse_graph_text(text), start, cap)
     assert main(["enumerate", graph_file(text), "--start", str(start), "--max-len", str(cap), "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -638,9 +639,10 @@ def test_enumerate_counts_and_lists_the_whole_enumeration(graph_file, capsys, te
 
 def test_enumerate_holds_no_enumeration(graph_file, capsys):
     """enumerate reads the span straight from the search, which holds one
-    walk at a time, and a span that never fills counts the walks it read,
-    so its memory does not grow with the enumeration: 74,032 walks, which
-    would take about 15 MB as a list, peak under 2 MB."""
+    walk at a time, and counts the walks by the transfer count, so its
+    memory does not grow with the enumeration even when the span never
+    fills: 74,032 walks, which would take about 15 MB as a list, peak
+    under 2 MB."""
     path = graph_file(SUBDIV_K4_TEXT)
     tracemalloc.start()
     try:
@@ -658,9 +660,9 @@ def test_enumerate_holds_no_enumeration(graph_file, capsys):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_enumerate_count_is_the_enumeration_length(graph_file, capsys, data):
-    """The printed count is len(enumerate_closed_nb_walks(...)) on random
-    graphs with and without vertices of degree 1 or 2: the walks read when
-    the span never fills, the transfer count when it fills early."""
+    """The printed count, the transfer count, is
+    len(enumerate_closed_nb_walks(...)) on random graphs with and without
+    vertices of degree 1 or 2, whether or not the span fills early."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     if data.draw(st.booleans()):
         n = data.draw(st.integers(3, 7))
@@ -801,6 +803,23 @@ def test_reading_past_the_int_string_limit_is_an_error(graph_file, tmp_path, cap
     assert not transcript.exists()
     assert main(["recover", path]) == 0
     assert capsys.readouterr().out.endswith("queries: 6\nEXACT MATCH\n")
+
+
+def test_walk_count_past_the_int_string_limit_is_an_error(graph_file, capsys):
+    """K4 from 0 has a 663-digit walk count at cap 2,200 and a 633-digit one
+    at cap 2,100; at the lowest digit limit, 640, the first is an error
+    with nothing printed, and the second is printed."""
+    path = graph_file(K4_TEXT)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert main(["enumerate", path, "--max-len", "2200"]) == 2
+        assert capsys.readouterr() == ("", "error: walk count exceeds the 640-digit limit\n")
+        assert main(["enumerate", path, "--max-len", "2100"]) == 0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    first = capsys.readouterr().out.splitlines()[0]
+    assert len(first.rpartition(" ")[2]) == 633
 
 
 # -------------------------------------------------------------------- usage

@@ -616,7 +616,7 @@ def test_span_repacks_for_a_walk_longer_than_the_packing(report_calls):
     for ids in walks:
         echelon.add({e: ids.count(e) for e in ids})
     assert echelon.rank == 5
-    assert _span(6, walks) == (_report(6, echelon), 7)
+    assert _span(6, walks) == _report(6, echelon)
     assert report_calls == [4, 5]
 
 
