@@ -51,8 +51,8 @@ from fractions import Fraction
 from .errors import GraphFormatError, NotOdometricError, OdographError
 from .graph import Graph, is_connected, low_degree_vertices, odometric_defect
 from .oracle import Odometer, _count_closed_nb_walks, iter_closed_nb_walks, revealable_span
-from .revealer import IdentityTrace, reveal_all
-from .solver import _select_basis, _solve
+from .revealer import reveal_all
+from .solver import _plan, _solve
 
 _HEADER = "odometry-graph v1"
 # the only line ends; str.splitlines also breaks at \f, \x85, U+2028 and more
@@ -247,10 +247,10 @@ def cmd_check(g: Graph, args: argparse.Namespace) -> int:
 
 
 def cmd_reveal(g: Graph, args: argparse.Namespace) -> int:
-    # the trace lets selection compose each walk's row from its lasso parts
-    trace = IdentityTrace() if args.minimal else None
-    certs = reveal_all(g, args.start, trace)
-    basis = _select_basis(g, certs, trace)[0] if args.minimal else None
+    if args.minimal:
+        certs, basis, _ = _plan(g, args.start)
+    else:
+        certs, basis = reveal_all(g, args.start), None
     if args.format == "json":
         print(_reveal_json(g, args.start, certs, basis))
         return 0
@@ -268,9 +268,7 @@ def cmd_recover(g: Graph, args: argparse.Namespace) -> int:
     transcript_path = args.oracle_transcript
     topology = g.without_weights()
     # the solve replays this selection's row operations on the readings
-    trace = IdentityTrace()
-    certs = reveal_all(topology, args.start, trace)
-    basis, selection = _select_basis(topology, certs, trace)
+    _, basis, selection = _plan(topology, args.start)
     odo = Odometer(g, args.start)
     measurements = [odo.measure(w) for w in basis]
     recovered = _solve(selection, measurements)

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import InvalidWalkError, PreconditionError, RejectedWalkError
 from .graph import Graph, bfs_forest
 from .solver import _Echelon
-from .walks import Walk, _edge_ids, _edge_usage
+from .walks import Walk, _edge_ids
 
 
 class Odometer:
@@ -59,7 +59,7 @@ class Odometer:
         if len(walk) < 2:
             raise RejectedWalkError("rejected: the trip never leaves the home vertex")
         try:
-            usage = _edge_usage(self._g, walk)
+            ids = _edge_ids(self._g, walk)
         except InvalidWalkError:
             raise RejectedWalkError("rejected: not a non-backtracking walk on this graph") from None
         if walk[0] != self._home or walk[-1] != self._home:
@@ -67,7 +67,7 @@ class Odometer:
                 f"rejected: walk must start and end at home vertex {self._home}"
             )
         self._count += 1
-        return Fraction(sum(c * self._numer[e] for e, c in usage.items()), self._denom)
+        return Fraction(sum(map(self._numer.__getitem__, ids)), self._denom)
 
 
 def _closed_walks(g: Graph, home: int, max_edges: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -248,9 +248,15 @@ def revealable_span(g: Graph, home: int, max_edges: int) -> SpanReport:
     max_edges edges, read as one of each reversed pair straight from the
     search's edge ids; nothing is kept, so memory does not grow with the
     enumeration, and the search stops as soon as the span fills all |E|
-    directions.
+    directions. Above the default cap 2|E| + 3 the search runs at that cap
+    first, then at double it, and so on up to max_edges: the walks within
+    a cap are among those within a larger one, so the span is the same, but
+    a span that fills early is not read off walks winding up to a large cap.
     """
-    one_each = (ids for walk, ids in _closed_walks(g, home, max_edges) if walk <= walk[::-1])
+    caps = [min(max_edges, 2 * g.edge_count + 3)]
+    while caps[-1] < max_edges:
+        caps.append(min(2 * caps[-1], max_edges))
+    one_each = (ids for cap in caps for walk, ids in _closed_walks(g, home, cap) if walk <= walk[::-1])
     return _span(g.edge_count, one_each)
 
 

@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .errors import CyclicDependencyError, MissingCertificateError, PreconditionError
 from .graph import Graph, bfs_forest, odometric_defect
-from .walks import Walk, _edge_usage, concat, is_closed, reverse
+from .walks import Walk, _edge_ids, concat, is_closed, reverse
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def transfer_neighbor_walk(
     a, b = g.endpoints(f)
     if {a, b} != {home, u}:
         raise PreconditionError(f"edge id {f} does not join {home} and {u}")
-    _edge_usage(g, w_closed)
+    _edge_ids(g, w_closed)
     if not is_closed(w_closed) or w_closed[0] != u or len(w_closed) < 2:
         raise PreconditionError(f"need a nonempty closed walk at {u}")
     first_is_home = w_closed[1] == home

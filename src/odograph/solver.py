@@ -10,15 +10,15 @@ and records the row operations that reduced each row it stores; it works
 in integers throughout. Basis selection and the solve first rewrite each
 row in spanning-tree potentials (``_potentials``), where the tree path to
 a closed walk's detour telescopes away, so rows stay short however deep
-the graph. Given the ``IdentityTrace`` of the reveal that built the
-certificates, selection does not even read their walks: each is a lasso
-W.C^k.rev(W), and its row is composed from the record's parts, the
-telescoped stem W and the once-read cycle C. Each row is eliminated once:
-``recover_weights`` selects its walks as a basis is selected, ``cli``
-reuses its basis's selection, and the solve replays the recorded row
-operations on the readings, scaled to integers, and re-checks every
-equation in potential coordinates. Solved potentials map back to edge
-weights as Fractions.
+the graph. ``_plan`` reveals every edge and selects the basis in one go:
+it keeps the reveal's ``IdentityTrace``, so selection does not even read
+the certificate walks: each is a lasso W.C^k.rev(W), and its row is
+composed from the record's parts, the telescoped stem W and the once-read
+cycle C. Each row is eliminated once: ``recover_weights`` selects its
+walks as a basis is selected, ``cli`` solves from the selection ``_plan``
+returns, and the solve replays the recorded row operations on the
+readings, scaled to integers, and re-checks every equation in potential
+coordinates. Solved potentials map back to edge weights as Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InconsistentMeasurementsError,
@@ -35,8 +35,8 @@ from .errors import (
     RankDeficientError,
 )
 from .graph import Graph, bfs_forest
-from .revealer import DoublingRecord, IdentityTrace, RevealCertificate
-from .walks import Walk, _edge_usage, edge_multiplicities
+from .revealer import DoublingRecord, IdentityTrace, RevealCertificate, reveal_all
+from .walks import Walk, _edge_ids, edge_multiplicities
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,15 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, vec: dict[int, int] | Sequence[int]) -> bool:
+    def add(self, vec: Mapping[int, int]) -> bool:
         """Reduce vec against the stored rows; store it if it is independent.
 
-        vec is a sparse ``{column: coefficient}`` dict, such as a walk's
-        ``walks._edge_usage``, or a dense row indexed by column. Each step
-        v <- scale * v - factor * rows[pivot] clears v's smallest column, and
-        a row left nonzero is divided by its content and stored, with its
-        steps. Returns whether vec was stored.
+        vec is a sparse ``{column: coefficient}`` row, such as a walk's
+        ``_potential_row``. Each step v <- scale * v - factor * rows[pivot]
+        clears v's smallest column, and a row left nonzero is divided by its
+        content and stored, with its steps. Returns whether vec was stored.
         """
-        # a dict, not any Mapping: the abstract class check costs about 1 us
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {j: x for j, x in items if x}
+        v = {j: x for j, x in vec.items() if x}
         steps: list[tuple[int, int, int]] = []
         while v:
             c = min(v)
@@ -181,7 +178,7 @@ def rational_rank(m: WalkMatrix) -> int:
     for col in m.columns:
         if echelon.rank == m.edge_count:
             break
-        echelon.add(col)
+        echelon.add(dict(enumerate(col)))
     return echelon.rank
 
 
@@ -218,14 +215,15 @@ def _potentials(g: Graph, root: int) -> list[tuple[int, int | None]]:
     return coords
 
 
-def _potential_row(coords: list[tuple[int, int | None]], usage: Mapping[int, int]) -> dict[int, int]:
-    """A walk's usage counts rewritten in the columns of ``_potentials``."""
+def _potential_row(coords: list[tuple[int, int | None]], ids: Iterable[int]) -> dict[int, int]:
+    """A walk's usage counts in the columns of ``_potentials``, from the
+    edge ids of its steps (``walks._edge_ids``)."""
     row: dict[int, int] = {}
-    for e, c in usage.items():
+    for e in ids:
         plus, minus = coords[e]
-        row[plus] = row.get(plus, 0) + c
+        row[plus] = row.get(plus, 0) + 1
         if minus is not None:
-            row[minus] = row.get(minus, 0) - c
+            row[minus] = row.get(minus, 0) - 1
     return row
 
 
@@ -309,12 +307,12 @@ def _select(
             coords = _potentials(g, w[0])
         lasso = lassos.get(w)
         if lasso is None:
-            row = _potential_row(coords, _edge_usage(g, w))
+            row = _potential_row(coords, _edge_ids(g, w))
         else:
             rec, k = lasso
             cycle_row = cycle_rows.get(rec.cycle)
             if cycle_row is None:
-                cycle_row = cycle_rows[rec.cycle] = _potential_row(coords, _edge_usage(g, rec.cycle))
+                cycle_row = cycle_rows[rec.cycle] = _potential_row(coords, _edge_ids(g, rec.cycle))
             row = _lasso_row(g, coords, rec.base, cycle_row, k)
         if echelon.add(row):
             picks.append(i)
@@ -324,22 +322,20 @@ def _select(
     return _Selection(picks, rows, coords, echelon)
 
 
-def _select_basis(
-    g: Graph, certs: Mapping[int, RevealCertificate], trace: IdentityTrace | None = None
-) -> tuple[list[Walk], _Selection]:
-    """The minimal basis of ``extract_minimal_basis`` and its selection.
-
-    trace, if given, is the one ``reveal_all`` filled while it built certs
-    on g; the rows of the walks it records are then composed, not read.
-    """
-    pool = _pool_certificate_walks(certs)
+def _plan(g: Graph, start: int) -> tuple[dict[int, RevealCertificate], list[Walk], _Selection]:
+    """``reveal_all(g, start)``, the minimal basis ``extract_minimal_basis``
+    picks from its certificates, and the basis's selection. Each certificate
+    walk is a conjugate of one of the reveal's doubling records, so its row
+    is composed from the record's parts, not read."""
+    trace = IdentityTrace()
+    certs = reveal_all(g, start, trace)
     lassos = {}
-    if trace is not None:
-        for rec in trace.doublings:
-            lassos[rec.conjugate_once] = (rec, 1)
-            lassos[rec.conjugate_twice] = (rec, 2)
+    for rec in trace.doublings:
+        lassos[rec.conjugate_once] = (rec, 1)
+        lassos[rec.conjugate_twice] = (rec, 2)
+    pool = _pool_certificate_walks(certs)
     selection = _select(g, pool, "certificate walks", lassos)
-    return [pool[i] for i in selection.picks], selection
+    return certs, [pool[i] for i in selection.picks], selection
 
 
 def _solve(
@@ -380,7 +376,8 @@ def extract_minimal_basis(g: Graph, certs: Mapping[int, RevealCertificate]) -> l
     reaches |E|. The result always has exactly |E| walks of full rank, or
     the pool is genuinely rank deficient and that is an error.
     """
-    return _select_basis(g, certs)[0]
+    pool = _pool_certificate_walks(certs)
+    return [pool[i] for i in _select(g, pool, "certificate walks").picks]
 
 
 def recover_weights(
@@ -400,7 +397,7 @@ def recover_weights(
     selection = _select(g_topology, walks, "measuring walks")
     chosen = set(selection.picks)
     others = [
-        (_potential_row(selection.coords, _edge_usage(g_topology, w)), b)
+        (_potential_row(selection.coords, _edge_ids(g_topology, w)), b)
         for i, (w, b) in enumerate(zip(walks, measurements))
         if i not in chosen
     ]
@@ -420,6 +417,6 @@ def verify_certificate(g: Graph, cert: RevealCertificate) -> bool:
         raise PreconditionError("verify_certificate needs a flattened certificate")
     balance = {cert.target: -cert.target_coefficient}
     for c, w in cert.terms:
-        for e, k in _edge_usage(g, w).items():
-            balance[e] = balance.get(e, 0) + c * k
+        for e in _edge_ids(g, w):
+            balance[e] = balance.get(e, 0) + c
     return not any(balance.values())

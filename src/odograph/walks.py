@@ -24,7 +24,7 @@ def is_closed(w: Walk) -> bool:
 def is_valid_nb_walk(g: Graph, w: Walk) -> bool:
     """Total predicate: vertices in range, edges present, no backtracking."""
     try:
-        _edge_usage(g, w)
+        _edge_ids(g, w)
     except InvalidWalkError:
         return False
     return True
@@ -76,29 +76,17 @@ def _edge_ids(g: Graph, w: Walk) -> list[int]:
     return ids
 
 
-def _edge_usage(g: Graph, w: Walk) -> dict[int, int]:
-    """How many times the walk uses each edge it uses, as ``{edge id: count}``.
-
-    Raises InvalidWalkError unless w is a valid non-backtracking walk; the
-    check and the count take one pass over ``_edge_ids``.
-    """
-    counts: dict[int, int] = {}
-    for e in _edge_ids(g, w):
-        counts[e] = counts.get(e, 0) + 1
-    return counts
-
-
 def edge_multiplicities(g: Graph, w: Walk) -> list[int]:
     """How many times the walk uses each edge, indexed by edge id."""
     counts = [0] * g.edge_count
-    for e, c in _edge_usage(g, w).items():
-        counts[e] = c
+    for e in _edge_ids(g, w):
+        counts[e] += 1
     return counts
 
 
 def walk_weight(g: Graph, w: Walk) -> Fraction:
     """Total weight of the walk: the inner product of usage counts and weights."""
-    usage = _edge_usage(g, w)
+    ids = _edge_ids(g, w)
     if not g.is_weighted:
         raise ValueError("graph has no weights")
-    return sum((c * g.weight(e) for e, c in usage.items()), Fraction(0))
+    return sum(map(g.weight, ids), Fraction(0))

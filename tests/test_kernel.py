@@ -66,7 +66,7 @@ def test_kernel_solve_matches_sympy(system):
     so found satisfies every row."""
     rows, rhs = system
     echelon = _Echelon()
-    chosen = [v for r, v in zip(rows, rhs) if echelon.add(r)]
+    chosen = [v for r, v in zip(rows, rhs) if echelon.add(dict(enumerate(r)))]
     d = lcm(*(v.denominator for v in rhs))
     replayed, t = echelon.replay([int(v * d) for v in chosen])
     x, s = echelon.back_substitute(rhs=replayed)

@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +287,36 @@ def test_span_k4_exhaustive_agrees(k4):
     assert rational_rank(build_walk_matrix(k4, walks)) == 6
 
 
+def test_revealable_span_at_a_huge_cap_stops_at_full_rank():
+    """The search's first walks from 0 on K4 wind round one triangle up to
+    the cap, so one search at cap 10**6 would read walks of up to a million
+    edges before the span fills; read at the default cap first, the span
+    fills after a few short walks. A subprocess with a timeout makes a
+    regression fail instead of hanging."""
+    code = (
+        "from odograph import Graph, revealable_span\n"
+        "from odograph.oracle import SpanReport\n"
+        "k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])\n"
+        "assert revealable_span(k4, 0, 10**6) == SpanReport(6, ())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_revealable_span_above_the_default_cap_is_the_whole_enumeration(c5, subdivided_k4):
+    """Above 2|E| + 3 the search runs at that cap, then at double it, up to
+    the cap. Neither span fills, so every pass is read, the subdivided K4's
+    through the complement test; the report is still that of the one
+    enumeration at the cap."""
+    for g, cap in ((subdivided_k4, 18), (c5, 65)):
+        walks = one_per_reversal(iter_closed_nb_walks(g, 0, cap))
+        assert revealable_span(g, 0, cap) == span_report(g, walks)
+
+
 def test_span_c5_sees_only_cycle_multiples(c5):
     report = revealable_span(c5, 0, 13)
     assert report.rank == 1
@@ -458,7 +492,7 @@ def span_report_before(g, walks):
         if vec in seen:
             continue
         seen.add(vec)
-        echelon.add(vec)
+        echelon.add(dict(enumerate(vec)))
         if echelon.rank == m:
             return SpanReport(m, ())
     return _report(m, echelon)

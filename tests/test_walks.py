@@ -12,7 +12,7 @@ from odograph import (
     is_valid_nb_walk,
     walk_weight,
 )
-from odograph.walks import _edge_usage, concat, is_closed, reverse
+from odograph.walks import _edge_ids, concat, is_closed, reverse
 from conftest import random_min_deg3_edges
 import random
 
@@ -225,11 +225,11 @@ def test_edge_usage_matches_reference(case):
     assert is_valid_nb_walk(g, w) == (expected is not None)
     if expected is None:
         with pytest.raises(InvalidWalkError, match="not a valid non-backtracking walk"):
-            _edge_usage(g, w)
+            _edge_ids(g, w)
         with pytest.raises(InvalidWalkError):
             edge_multiplicities(g, w)
         return
-    usage = _edge_usage(g, w)
-    assert all(usage.values())
-    assert usage == {e: c for e, c in enumerate(expected) if c}
+    ids = _edge_ids(g, w)
+    assert len(ids) == len(w) - 1
+    assert [ids.count(e) for e in range(g.edge_count)] == expected
     assert edge_multiplicities(g, w) == expected
