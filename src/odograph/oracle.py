@@ -8,18 +8,20 @@ cap, pruning steps too far from home to close in time, and knows the edge
 id of each step it takes. Such an enumeration holds each walk's reverse,
 which uses every edge as often, so its consumers read one of each pair
 (``one_per_reversal``) and remember nothing. The span core reads walks as
-edge ids; once the span's orthogonal complement is small, it keeps a basis
-of it and tests a walk against every relation at once, by one exact
-integer sum over its steps. The number of walks within a cap is also
-counted without enumerating them, by a non-backtracking transfer count.
-Together they give an independent way to check what is and is not
+edge ids; once the span's orthogonal complement is small, it keeps only a
+basis of it, tests each walk by its dot product with every relation, one
+sum over its steps each, and reads the report off that basis. The number
+of walks within a cap is also counted without enumerating them, by a
+non-backtracking transfer count that stops once the count is too long to
+print. Together they give an independent way to check what is and is not
 recoverable on small graphs.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidWalkError, PreconditionError, RejectedWalkError
@@ -165,67 +167,52 @@ def _report(edge_count: int, echelon: _Echelon) -> SpanReport:
     return SpanReport(echelon.rank, tuple(relations))
 
 
-def _pack(complement: list[Sequence[int]], longest: int) -> list[int]:
-    """Every relation's coefficients at once: P[e] = sum of r_i[e] * 2**(b*i).
-
-    With 2**b > longest * max |r_i[e]|, a walk of at most longest edges has
-    digit i of its sum of P[e] over its steps equal to its dot product d_i
-    with relation i; the sum is zero exactly when every d_i is, since the
-    lowest nonzero d_i would have to be a multiple of 2**b.
-    """
-    b = (longest * max(abs(x) for r in complement for x in r)).bit_length()
-    return [sum(r[e] << (b * i) for i, r in enumerate(complement)) for e in range(len(complement[0]))]
-
-
 def _span(m: int, walks: Iterable[Sequence[int]]) -> SpanReport:
     """The span report over walks given as the edge ids of their steps.
 
-    Each walk is eliminated as sparse usage counts. Once a walk is dependent
+    Each walk is eliminated as sparse usage counts until one is dependent
     while the m - rank relations of ``_report`` hold no more entries than
-    the stored rows, those relations are kept as a basis of the span's
-    orthogonal complement, and every later walk is tested against all of
-    them by one sum over its steps (``_pack``). A walk in the span is
-    skipped; one that breaks a relation is stored, and one elimination step
-    on the first relation it breaks keeps the rest a basis. So the echelon
-    ends holding exactly the walks a plain greedy elimination keeps, in
-    order. Walks are read only until the rank reaches m; then the report is
-    (m, ()) whatever walks follow.
+    the stored rows. From then on those relations, a basis of the span's
+    orthogonal complement, are all that is kept: a walk with a zero dot
+    product with each is skipped, and one that breaks a relation removes
+    the first it breaks, after eliminating it from the rest. They stay the
+    relations ``_report`` derives from a plain greedy elimination, so the
+    report is read off them. Walks are read only until the rank reaches m;
+    then the report is (m, ()) whatever walks follow.
     """
     echelon = _Echelon()
     stored = 0  # entries in the echelon's rows
-    complement: list[Sequence[int]] | None = None
-    packed: list[int] | None = None
-    longest = 0  # the walk length packed is sized for
-    for ids in walks:
-        if complement is not None:
-            if packed is None or len(ids) > longest:
-                longest = max(longest, len(ids))
-                packed = _pack(complement, longest)
-            if not sum(map(packed.__getitem__, ids)):
-                continue
+    stream = iter(walks)
+    for ids in stream:
         usage: dict[int, int] = {}
         for e in ids:
             usage[e] = usage.get(e, 0) + 1
-        if complement is None:
-            if echelon.add(usage):
-                stored += len(next(reversed(echelon.rows.values())))
-            elif (m - echelon.rank) * m <= stored:
-                complement = list(_report(m, echelon).relations)
-        else:
-            dots = [sum(c * r[e] for e, c in usage.items()) for r in complement]
-            p = next(i for i, d in enumerate(dots) if d)
-            echelon.add(usage)
-            pivot, a = complement.pop(p), dots.pop(p)
-            for i, d in enumerate(dots):
-                if d:
-                    k = gcd(a, d)
-                    v = [a // k * x - d // k * y for x, y in zip(complement[i], pivot)]
-                    k = gcd(*v)
-                    complement[i] = [x // k for x in v]
-            packed = None
-        if echelon.rank == m:
+        if echelon.add(usage):
+            stored += len(next(reversed(echelon.rows.values())))
+            if echelon.rank == m:
+                return SpanReport(m, ())
+        elif (m - echelon.rank) * m <= stored:
+            break
+    else:
+        return _report(m, echelon)
+    complement = list(_report(m, echelon).relations)
+    for ids in stream:
+        dots = [sum(map(r.__getitem__, ids)) for r in complement]
+        p = next((i for i, d in enumerate(dots) if d), None)
+        if p is None:
+            continue
+        pivot, a = complement.pop(p), dots.pop(p)
+        if a < 0:
+            pivot, a = [-x for x in pivot], -a
+        for i, d in enumerate(dots):
+            if d:
+                k = gcd(a, d)
+                v = [a // k * x - d // k * y for x, y in zip(complement[i], pivot)]
+                k = gcd(*v)
+                complement[i] = [x // k for x in v]
+        if not complement:
             return SpanReport(m, ())
-    return _report(m, echelon)
+    return SpanReport(m - len(complement), tuple(map(tuple, complement)))
 
 
 def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
@@ -234,9 +221,9 @@ def span_report(g: Graph, walks: Iterable[Walk]) -> SpanReport:
     Every walk given is read and validated once, as the edge ids of its
     steps, so the answer holds for any collection; an enumeration is passed
     through ``one_per_reversal`` first, which reads half the walks and
-    keeps nothing. ``_span`` eliminates them, and tests each walk against
-    the span's orthogonal complement once that is small; it stops reading
-    at full rank.
+    keeps nothing. ``_span`` eliminates them until the span's orthogonal
+    complement is small, then keeps only that complement and tests each
+    walk against it; it stops reading at full rank.
     """
     return _span(g.edge_count, (_edge_ids(g, w) for w in walks))
 
@@ -271,7 +258,12 @@ def _count_closed_nb_walks(g: Graph, home: int, max_edges: int) -> int:
     runs along edge e from its lower endpoint, arc 2e + 1 back. A walk
     ending on arc b goes on along every arc from b's head except b ^ 1, and
     every walk arriving home is closed; none of fewer than 3 edges does.
+    The count is exact while it is printable under the int-string digit
+    limit (``sys.get_int_max_str_digits``); once it reaches 10**limit the
+    loop stops, so a larger count is only known to exceed the limit.
     """
+    limit = sys.get_int_max_str_digits()
+    unprintable = 10**limit if limit else inf
     tails = [v for edge in g.edges for v in edge]
     heads = [v for lo, hi in g.edges for v in (hi, lo)]
     ends = [int(t == home) for t in tails]
@@ -281,5 +273,7 @@ def _count_closed_nb_walks(g: Graph, home: int, max_edges: int) -> int:
         for h, c in zip(heads, ends):
             arriving[h] += c
         total += arriving[home]
+        if total >= unprintable:
+            break
         ends = [arriving[t] - ends[b ^ 1] for b, t in enumerate(tails)]
     return total

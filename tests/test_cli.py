@@ -822,6 +822,20 @@ def test_walk_count_past_the_int_string_limit_is_an_error(graph_file, capsys):
     assert len(first.rpartition(" ")[2]) == 633
 
 
+def test_walk_count_stops_at_the_int_string_limit(graph_file):
+    """K4 from 0 passes 4,300 digits at cap 14,285; counting on to cap
+    1,000,000 would take minutes, so the count stops at the limit and the
+    error comes at once. A subprocess with a timeout makes a regression
+    fail instead of hanging."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "odograph", "enumerate",
+         graph_file(K4_TEXT), "--max-len", "1000000"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: walk count exceeds the 4300-digit limit\n")
+
+
 # -------------------------------------------------------------------- usage
 
 

@@ -33,7 +33,6 @@ import odograph.oracle
 from odograph.oracle import (
     SpanReport,
     _count_closed_nb_walks,
-    _pack,
     _report,
     _span,
     iter_closed_nb_walks,
@@ -500,8 +499,8 @@ def span_report_before(g, walks):
 
 @pytest.fixture
 def report_calls(monkeypatch):
-    """How often ``span_report`` derives relations; more than once at the
-    end means it built the complement."""
+    """The rank at each ``_report`` call; a rank below the one reported
+    means the span built its complement there."""
     calls = []
 
     def counted(m, echelon):
@@ -541,7 +540,7 @@ def test_span_report_matches_the_dense_loop(data):
 def test_span_report_builds_the_complement_on_a_tall_input(subdivided_k4, report_calls):
     walks = enumerate_closed_nb_walks(subdivided_k4, 0, 12)
     report = span_report(subdivided_k4, walks)
-    assert len(report_calls) > 1
+    assert report_calls == [5]
     assert report == span_report_before(subdivided_k4, walks)
     assert report == SpanReport(6, ((0, 0, 0, 0, 0, -1, 1),))
 
@@ -602,56 +601,19 @@ def test_transfer_count_is_the_enumeration_length(name, request):
         assert _count_closed_nb_walks(g, 0, 20) == 0
 
 
-def _packed_agrees(relations, longest, ids):
-    packed = _pack(relations, longest)
-    in_span = all(sum(r[e] for e in ids) == 0 for r in relations)
-    return (sum(packed[e] for e in ids) == 0) == in_span
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_packed_test_agrees_with_dot_products(data):
-    """A walk's sum over its steps of the packed coefficients is zero
-    exactly when its dot product with every relation is, for coefficients
-    up to 10**6 and walks of up to 200 edges: random walks, one that
-    cancels every relation, and one whose dot products are 2**(b - 1) and
-    -1 for the packing's b, which a base of b - 1 bits would take for zero."""
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    m = data.draw(st.integers(2, 30))
-    k = data.draw(st.integers(2, 5))
-    longest = data.draw(st.integers(3, 200).filter(lambda x: x & (x - 1)))  # not a power of 2
-    big = data.draw(st.sampled_from([3, 2**19, 10**6]))
-    relations = [[rng.randint(-big, big) for _ in range(m)] for _ in range(k)]
-    for r in relations:
-        r[1] = -r[0]  # edges 0 and 1 cancel in every relation
-    walks = [[0, 1] * (longest // 2)]
-    walks += [[rng.randrange(m) for _ in range(rng.randint(0, longest))] for _ in range(10)]
-    for ids in walks:
-        assert _packed_agrees(relations, longest, ids)
-    # max |r| = 2**19 at edge 0 of relation 0, and -1 at edge 1 of relation 1
-    tight = [[0, 0] + [rng.randint(-(2**19), 2**19) for _ in range(m - 2)] for _ in range(k)]
-    tight[0][0], tight[1][1] = 2**19, -1
-    ids = [0] * 2 ** (longest.bit_length() - 1) + [1]
-    assert [sum(r[e] for e in ids) for r in tight[:2]] == [2 ** ((longest * 2**19).bit_length() - 1), -1]
-    assert _packed_agrees(tight, longest, ids)
-
-
-def test_span_repacks_for_a_walk_longer_than_the_packing(report_calls):
+def test_span_finds_a_walk_with_dot_products_4_and_minus_1_independent(report_calls):
     """Walks as edge ids on 6 edges. The first four span {u : u0 = u1, u2 = u3}
     in 13 stored entries, so the dependent fifth builds the complement
-    (-1, 1, 0, 0, 0, 0), (0, 0, -1, 1, 0, 0); the sixth, of 2 edges, is in
-    the span and sizes the packing for 2 edges (b = 2). The seventh, 1^4 2,
-    has dot products 4 and -1, which that packing sums to zero; it is
-    independent, so a span that does not repack for it misses a rank."""
+    (-1, 1, 0, 0, 0, 0), (0, 0, -1, 1, 0, 0) and it is not derived again;
+    the sixth is in the span. The seventh, 1^4 2, has dot products 4 and -1
+    with those relations; it is independent, and the span counts its rank."""
     walks = [[0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 5], [4, 5, 5, 5], [5], [0, 1], [1, 0], [1, 1, 1, 1, 2]]
-    stale = _pack([(-1, 1, 0, 0, 0, 0), (0, 0, -1, 1, 0, 0)], 2)
-    assert sum(stale[e] for e in walks[-1]) == 0
     echelon = _Echelon()
     for ids in walks:
         echelon.add({e: ids.count(e) for e in ids})
     assert echelon.rank == 5
     assert _span(6, walks) == _report(6, echelon)
-    assert report_calls == [4, 5]
+    assert report_calls == [4]
 
 
 def test_negative_first_vertex_is_rejected(k4):
